@@ -60,7 +60,6 @@ from .snapshot_graph import (
     SnapshotGraph,
     SnapshotSequence,
     churn_rows,
-    common_neighbors,
     diff,
     load_edge_stream,
     read_edge_list,
@@ -99,7 +98,6 @@ __all__ = [
     "audit",
     "best_response",
     "churn_rows",
-    "common_neighbors",
     "count_error",
     "derive_seeds",
     "diff",

@@ -166,9 +166,9 @@ def _write_diagnostics(path, result) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["pass", "changed_agents", "total_utility", "potential"])
-        for i, (changed, util, pot) in enumerate(
-                zip(result.changed_trace, result.utility_trace, result.potential_trace)):
-            writer.writerow([i, changed, repr(util), repr(pot)])
+        for i, (changed, util) in enumerate(zip(result.changed_trace, result.utility_trace)):
+            # 0.0 - util, not -util: a zero utility must print as 0.0
+            writer.writerow([i, changed, repr(util), repr(0.0 - util)])
 
 
 def _mean(values):
@@ -198,14 +198,14 @@ def cmd_run(args) -> int:
                 _write_diagnostics(out_dir / f"diagnostics_t{outcome.t}_rep{rep}.csv",
                                    outcome.result)
 
-    metric_rows = []
+    report_rows = []
     for t in range(seq.num_snapshots):
         preds = [rows[t][0].n_communities for rows in per_rep]
         nmis = [rows[t][1] for rows in per_rep]
         mods = [rows[t][2] for rows in per_rep]
         n_true = per_rep[0][t][3]
-        metric_rows.append((t, _mean(preds), n_true, _mean(nmis), _mean(mods)))
-    write_metrics_report(out_dir / "metrics.csv", metric_rows)
+        report_rows.append((t, _mean(preds), n_true, _mean(nmis), _mean(mods)))
+    write_metrics_report(out_dir / "metrics.csv", report_rows)
     write_churn_report(seq, out_dir / "churn.csv")
     return 0
 

@@ -9,7 +9,10 @@ over the adjacency bit A[i][j] and the common-neighbor count w[i][j]:
     A=0, w=0:  -d_in[i]*d_out[j] / (4m)
 
 It peaks for directly connected pairs sharing neighbors, so agents profit
-from joining communities of well-connected similar nodes.  The similarity
+from joining communities of well-connected similar nodes.  Only pairs with
+an edge or a common neighbor leave the last branch, so a GainContext costs
+O(n+m) to build: it keeps the degree vectors and builds each agent's
+kernel row on first use, memoizing it for later turns.  The similarity
 gain of an agent sums the kernel over the union of its co-members: each
 node sharing at least one community with the agent counts exactly once,
 however many communities they share.  Counting per shared community
@@ -30,33 +33,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyGraphError, PreconditionError
 from .snapshot_graph import SnapshotGraph
 
 GAIN_KINDS = ("similarity", "modularity")
 
-# Above this node-id bound the dense n*n kernel cache is skipped in favor
-# of lazy per-pair evaluation (memory: dense needs 3 float matrices).
-DENSE_LIMIT = 2048
+
+class _KernelRow(dict):
+    """Kernel values of one agent, keyed by the other node of the pair.
+
+    Built holding only the pairs with an edge or a common neighbor; any
+    other pair takes the fourth branch, computed and stored on first use.
+    """
+
+    __slots__ = ("d_in_agent", "d_out", "fourm")
+
+    def __missing__(self, j: int) -> float:
+        c = self[j] = -float(self.d_in_agent * self.d_out[j]) / self.fourm
+        return c
 
 
 class GainContext:
-    """Per-snapshot cache of everything utility evaluation needs.
+    """Per-snapshot state for utility evaluation: O(n+m) to build.
 
-    Immutable once built (lazy caches only memoize); safe to share across
-    repeated runs on the same snapshot.
+    Holds the degree vectors; each agent's kernel row is built and
+    memoized on first use, so memory grows only with the pairs the game
+    actually scores.  Safe to share across repeated runs on the same
+    snapshot.
     """
 
-    def __init__(self, graph: SnapshotGraph, dense: bool | None = None):
+    # Always False: bench/spans.py reads it for gain_functions.dense_contexts.
+    dense = False
+
+    def __init__(self, graph: SnapshotGraph):
         if graph.m == 0:
             raise EmptyGraphError("empty graph")
         self.graph = graph
         self.m = graph.m
         self.n = graph.n
         size = graph.max_node + 1
-        self.size = size
         self.twom = 2.0 * graph.m
         self.fourm = 4.0 * graph.m
         self.d_in = [0] * size
@@ -64,86 +79,48 @@ class GainContext:
         for v in graph.nodes:
             self.d_in[v] = len(graph.in_adj[v])
             self.d_out[v] = len(graph.out_adj[v])
-        if dense is None:
-            dense = size <= DENSE_LIMIT
-        self.dense = dense
-        self._c_cache: dict[tuple[int, int], float] = {}
-        if dense:
-            self._build_dense()
-        else:
-            self.c_rows = None
-            self.a_rows = None
-            self.null_rows = None
+        self._rows: dict[int, _KernelRow] = {}
 
-    def _build_dense(self) -> None:
-        size = self.size
-        a = np.zeros((size, size), dtype=np.float64)
-        for i, js in self.graph.out_adj.items():
-            if js:
-                a[i, list(js)] = 1.0
-        w = a @ a.T
-        dd = np.multiply.outer(
-            np.asarray(self.d_in, dtype=np.float64),
-            np.asarray(self.d_out, dtype=np.float64),
-        )
-        adj = a >= 1.0
-        has_w = w >= 1.0
-        c = np.where(
-            adj & has_w,
-            w * (1.0 - dd / self.twom),
-            np.where(~adj & has_w, w / self.n, np.where(adj, dd / self.fourm, -dd / self.fourm)),
-        )
-        null = dd / self.twom
-        # Diagonals are never meaningful (no self-edges, i != j everywhere);
-        # zero them so member sums need no special casing.
-        np.fill_diagonal(c, 0.0)
-        np.fill_diagonal(null, 0.0)
-        np.fill_diagonal(a, 0.0)
-        self.c_rows = c.tolist()
-        self.a_rows = a.tolist()
-        self.null_rows = null.tolist()
+    def kernel_row(self, agent: int) -> _KernelRow:
+        """The agent's kernel row: `row[j]` is the kernel value of the
+        ordered pair (agent, j) for any node j != agent."""
+        row = self._rows.get(agent)
+        if row is None:
+            row = self._rows[agent] = self._build_row(agent)
+        return row
 
-    def pair_similarity(self, i: int, j: int) -> float:
-        """Kernel value for the ordered pair (i, j); callers validate i != j."""
-        if self.c_rows is not None:
-            return self.c_rows[i][j]
-        key = (i, j)
-        c = self._c_cache.get(key)
-        if c is None:
-            g = self.graph
-            w = len(g.out_sets[i] & g.out_sets[j])
-            dd = float(self.d_in[i] * self.d_out[j])
-            if j in g.out_sets[i]:
-                c = w * (1.0 - dd / self.twom) if w >= 1 else dd / self.fourm
-            else:
-                c = w / self.n if w >= 1 else -dd / self.fourm
-            self._c_cache[key] = c
-        return c
+    def _build_row(self, i: int) -> _KernelRow:
+        g = self.graph
+        # w[j]: targets that both i and j point to, for every j sharing one
+        w: dict[int, int] = {}
+        for t in g.out_adj[i]:
+            for j in g.in_adj[t]:
+                if j != i:
+                    w[j] = w.get(j, 0) + 1
+        row = _KernelRow()
+        row.d_in_agent = d_in_i = self.d_in[i]
+        row.d_out = d_out = self.d_out
+        row.fourm = self.fourm
+        for j in g.out_adj[i]:
+            dd = float(d_in_i * d_out[j])
+            wj = w.get(j, 0)
+            row[j] = wj * (1.0 - dd / self.twom) if wj >= 1 else dd / self.fourm
+        out = g.out_sets[i]
+        for j, wj in w.items():
+            if j not in out:
+                row[j] = wj / self.n
+        return row
 
     def contrib_similarity(self, agent: int, members) -> float:
         """Raw similarity contribution of one community: sum of the kernel
         over co-members (multiply by 1/m to get the gain share)."""
-        if self.c_rows is not None:
-            row = self.c_rows[agent]
-            return sum(row[j] for j in members if j != agent)
-        return sum(self.pair_similarity(agent, j) for j in members if j != agent)
+        row = self.kernel_row(agent)
+        return sum(row[j] for j in members if j != agent)
 
     def contrib_modularity(self, agent: int, members, memberships) -> float:
         """Raw modularity contribution of one community: each co-member j
         adds A[agent][j]*|labels(j)| minus the degree null model share
         (multiply by 1/(2m) to get the gain share)."""
-        if self.a_rows is not None:
-            a_row = self.a_rows[agent]
-            null_row = self.null_rows[agent]
-            total = 0.0
-            for j in members:
-                if j == agent:
-                    continue
-                if a_row[j]:
-                    total += len(memberships[j]) - null_row[j]
-                else:
-                    total -= null_row[j]
-            return total
         g = self.graph
         out = g.out_sets[agent]
         d_in_agent = self.d_in[agent]
@@ -177,7 +154,7 @@ def similarity(ctx: GainContext, i: int, j: int) -> float:
         raise PreconditionError("similarity requires i != j")
     if not ctx.graph.has_node(i) or not ctx.graph.has_node(j):
         raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
-    return ctx.pair_similarity(i, j)
+    return ctx.kernel_row(i)[j]
 
 
 def _check_labels(labels, structure) -> None:
@@ -192,14 +169,14 @@ def gain_similarity(ctx: GainContext, agent: int, labels, structure) -> float:
     counts once; holding overlapping communities pays only for the members
     they add."""
     _check_labels(labels, structure)
-    lookup = _kernel_lookup(ctx, agent)
+    row = ctx.kernel_row(agent)
     seen: set[int] = set()
     total = 0.0
     for k in sorted(labels):
         for j in structure.members_sorted(k):
             if j != agent and j not in seen:
                 seen.add(j)
-                total += lookup(j)
+                total += row[j]
     return total / ctx.m
 
 
@@ -236,12 +213,6 @@ def _contrib(ctx: GainContext, agent: int, community_id: int, structure, gain: s
     return ctx.contrib_modularity(agent, members, structure.memberships)
 
 
-def _kernel_lookup(ctx: GainContext, agent: int):
-    if ctx.c_rows is not None:
-        return ctx.c_rows[agent].__getitem__
-    return lambda j: ctx.pair_similarity(agent, j)
-
-
 def coverage_counts(structure, agent: int, held) -> dict[int, int]:
     """How many of the agent's held communities contain each co-member."""
     cnt: dict[int, int] = {}
@@ -254,14 +225,14 @@ def coverage_counts(structure, agent: int, held) -> dict[int, int]:
 
 def _marginal_join(ctx: GainContext, agent: int, members, cnt) -> float:
     """Kernel sum over members that would be new co-members."""
-    lookup = _kernel_lookup(ctx, agent)
-    return sum(lookup(j) for j in members if j != agent and not cnt.get(j))
+    row = ctx.kernel_row(agent)
+    return sum(row[j] for j in members if j != agent and not cnt.get(j))
 
 
 def _marginal_leave(ctx: GainContext, agent: int, members, cnt) -> float:
     """Kernel sum over members co-owned through this community alone."""
-    lookup = _kernel_lookup(ctx, agent)
-    return sum(lookup(j) for j in members if j != agent and cnt.get(j) == 1)
+    row = ctx.kernel_row(agent)
+    return sum(row[j] for j in members if j != agent and cnt.get(j) == 1)
 
 
 def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "similarity") -> float:
@@ -316,7 +287,7 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
         if similarity_gain:
             cnt = coverage_counts(structure, agent, held)
             out_members = structure.communities[k_out]
-            lookup = _kernel_lookup(ctx, agent)
+            row = ctx.kernel_row(agent)
             lost = _marginal_leave(ctx, agent, structure.members_sorted(k_out), cnt)
             gained = 0.0
             for j in structure.members_sorted(k_in):
@@ -324,7 +295,7 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
                     continue
                 covered = cnt.get(j, 0) - (1 if j in out_members else 0)
                 if covered == 0:
-                    gained += lookup(j)
+                    gained += row[j]
             return (gained - lost) / m
         gain_in = _contrib(ctx, agent, k_in, structure, gain) / ctx.twom
         gain_out = _contrib(ctx, agent, k_out, structure, gain) / ctx.twom

@@ -253,7 +253,6 @@ class SnapshotResult:
     actions_taken: dict[str, int]
     utility_trace: list[float]
     changed_trace: list[int] = field(default_factory=list)
-    potential_trace: list[float] = field(default_factory=list)
     games_played: int = 0
     max_candidates: int = 0
     memberships: dict[int, frozenset] = field(default_factory=dict)
@@ -425,7 +424,6 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     actions_taken = {"join": 0, "leave": 0, "switch": 0, "noop": 0}
     utility_trace: list[float] = []
     changed_trace: list[int] = []
-    potential_trace: list[float] = []
     games_played = 0
     max_candidates = 0
     passes_used = 0
@@ -452,7 +450,6 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
         passes_used += 1
         total_gain, total_loss = _totals(ctx, agents, structure, config.gain)
         utility_trace.append(total_gain - total_loss)
-        potential_trace.append(total_loss - total_gain)
         changed_trace.append(changed)
         if changed / n < config.change_fraction_threshold:
             break
@@ -464,7 +461,6 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
         actions_taken=actions_taken,
         utility_trace=utility_trace,
         changed_trace=changed_trace,
-        potential_trace=potential_trace,
         games_played=games_played,
         max_candidates=max_candidates,
         memberships=structure.membership_snapshot(),

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import FormatError, PreconditionError
@@ -36,7 +38,6 @@ class SnapshotGraph:
         "m",
         "max_node",
         "_node_set",
-        "_cn_cache",
         "_edge_set",
     )
 
@@ -50,7 +51,6 @@ class SnapshotGraph:
         self.m = sum(len(js) for js in out_adj.values())
         self.max_node = max(nodes) if nodes else -1
         self._node_set = frozenset(nodes)
-        self._cn_cache: dict[tuple[int, int], int] = {}
         self._edge_set: frozenset | None = None
 
     @classmethod
@@ -98,10 +98,6 @@ class SnapshotGraph:
                 (i, j) for i, js in self.out_adj.items() for j in js
             )
         return self._edge_set
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Distinct out- plus in-neighbors, sorted."""
-        return tuple(sorted(set(self.out_adj[i]) | set(self.in_adj[i])))
 
     def __eq__(self, other):
         if not isinstance(other, SnapshotGraph):
@@ -243,25 +239,6 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     )
 
 
-def common_neighbors(g: SnapshotGraph, i: int, j: int) -> int:
-    """Number of nodes receiving a direct edge from both i and j.
-
-    Symmetric in (i, j); served from a lazily built per-snapshot cache
-    keyed by the unordered pair, because the game loop asks for the same
-    pairs many times.
-    """
-    if i == j:
-        raise PreconditionError("common_neighbors requires i != j")
-    if not g.has_node(i) or not g.has_node(j):
-        raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
-    key = (i, j) if i < j else (j, i)
-    w = g._cn_cache.get(key)
-    if w is None:
-        w = len(g.out_sets[i] & g.out_sets[j])
-        g._cn_cache[key] = w
-    return w
-
-
 def diff(prev: SnapshotGraph, next: SnapshotGraph) -> ChangeStats:
     """Edge additions/deletions between consecutive snapshots and the
     number of nodes incident to any changed edge."""
@@ -277,6 +254,15 @@ def diff(prev: SnapshotGraph, next: SnapshotGraph) -> ChangeStats:
         touched.add(i)
         touched.add(j)
     return ChangeStats(len(added), len(deleted), len(touched))
+
+
+def _text_lines(path) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file; FormatError if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def parse_edge_file(path, snapshot_by: str = "column"):
@@ -295,32 +281,38 @@ def parse_edge_file(path, snapshot_by: str = "column"):
             window = float(snapshot_by.split(":", 1)[1])
         except ValueError as exc:
             raise FormatError(f"bad window width in {snapshot_by!r}") from exc
-        if window <= 0:
-            raise FormatError("window width must be positive")
+        if not math.isfinite(window) or window <= 0:
+            raise FormatError("window width must be positive and finite")
 
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
-            rows.append((lineno, parts))
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
+        rows.append((lineno, parts))
 
     if window is not None:
         stamps = []
         for lineno, parts in rows:
             try:
-                stamps.append(float(parts[-1]))
+                ts = float(parts[-1])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from exc
+            if not math.isfinite(ts):
+                raise FormatError(f"{path}:{lineno}: non-finite timestamp {parts[-1]!r}")
+            stamps.append(ts)
         t0 = min(stamps) if stamps else 0.0
-        return [
-            (parts[0], parts[1], int((ts - t0) // window))
-            for (lineno, parts), ts in zip(rows, stamps)
-        ]
+        records = []
+        for (lineno, parts), ts in zip(rows, stamps):
+            bucket = (ts - t0) // window
+            if not math.isfinite(bucket):
+                raise FormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is too far "
+                                  f"from the earliest for window width {window!r}")
+            records.append((parts[0], parts[1], int(bucket)))
+        return records
 
     records = []
     for lineno, parts in rows:
@@ -335,19 +327,18 @@ def parse_edge_file(path, snapshot_by: str = "column"):
 def parse_node_file(path):
     """Parse an optional node-list file: lines of `label snapshot`."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected `label snapshot`")
-            try:
-                t = int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[1]!r}") from exc
-            entries.append((parts[0], t))
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected `label snapshot`")
+        try:
+            t = int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[1]!r}") from exc
+        entries.append((parts[0], t))
     return entries
 
 

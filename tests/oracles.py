@@ -13,6 +13,7 @@ from collections import Counter
 
 import numpy as np
 
+from dgt.errors import PreconditionError
 from dgt.snapshot_graph import SnapshotGraph
 
 
@@ -156,3 +157,12 @@ def random_structure(rng: np.random.Generator, g: SnapshotGraph):
         if not structure.memberships[v]:
             structure.create_community([v])
     return structure
+
+
+def common_neighbors(g: SnapshotGraph, i: int, j: int) -> int:
+    """Number of nodes receiving a direct edge from both i and j."""
+    if i == j:
+        raise PreconditionError("common_neighbors requires i != j")
+    if not g.has_node(i) or not g.has_node(j):
+        raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
+    return len(set(g.out_adj[i]) & set(g.out_adj[j]))

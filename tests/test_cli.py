@@ -100,6 +100,39 @@ class TestRun:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("bad_file", ["edges", "nodes"])
+    def test_non_utf8_input_exits_one(self, tmp_path, capsys, bad_file):
+        files = {"edges": b"a b 0\nb c 0\n", "nodes": b"d 0\n"}
+        files[bad_file] = b"\xff\xfe" + files[bad_file]
+        for name, data in files.items():
+            (tmp_path / f"{name}.txt").write_bytes(data)
+        rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                       "--nodes", str(tmp_path / "nodes.txt"),
+                       "--variant", "dgts", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_window_exits_one(self, tmp_path, capsys, width):
+        edge_file = tmp_path / "edges.txt"
+        edge_file.write_text("a b 0\nb c 10\n", encoding="utf-8")
+        rc = cli.main(["run", "--input", str(edge_file), "--snapshot-by", f"window:{width}",
+                       "--variant", "dgts", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "window width" in err
+
+    @pytest.mark.parametrize("stamps", [("0", "1e999"), ("nan", "5"), ("-1e308", "1e308")])
+    def test_unbucketable_timestamp_exits_one(self, tmp_path, capsys, stamps):
+        edge_file = tmp_path / "edges.txt"
+        edge_file.write_text(f"a b {stamps[0]}\nb c {stamps[1]}\n", encoding="utf-8")
+        rc = cli.main(["run", "--input", str(edge_file), "--snapshot-by", "window:60",
+                       "--variant", "dgts", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "timestamp" in err
+
     def test_bad_flag_exits_one(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main([

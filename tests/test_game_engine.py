@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from dgt.cli import _write_diagnostics
 from dgt.errors import AuditError, ConfigError, PreconditionError
 from dgt.gain_functions import GainContext, utility_delta
 from dgt.game_engine import (
@@ -187,7 +190,7 @@ class TestBestResponse:
             agent = int(rng.choice(g.nodes))
             held = set(st.memberships[agent])
             neighbor_coms = set()
-            for v in g.neighbors(agent):
+            for v in set(g.out_adj[agent]) | set(g.in_adj[agent]):
                 neighbor_coms.update(st.memberships[v])
             joins = sorted(neighbor_coms - held)
             candidates = [(0.0, NoOp())]
@@ -347,9 +350,14 @@ class TestPotential:
         with pytest.raises(PreconditionError):
             potential(ctx, st, 0.0, 1.0)
 
-    def test_trace_mirrors_utility(self, two_cliques):
+    def test_trace_mirrors_utility(self, two_cliques, tmp_path):
         ctx = GainContext(two_cliques)
         init = CommunityStructure.from_singletons(two_cliques.nodes)
         _, result = run_snapshot(two_cliques, init, GameConfig(rng_seed=2), ctx=ctx)
-        for u, p in zip(result.utility_trace, result.potential_trace):
-            assert p == pytest.approx(-u, abs=1e-12)
+        path = tmp_path / "diagnostics.csv"
+        _write_diagnostics(path, result)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["total_utility"]) for r in rows] == result.utility_trace
+        for row in rows:
+            assert row["potential"] == repr(0.0 - float(row["total_utility"]))

@@ -6,7 +6,6 @@ from dgt.snapshot_graph import (
     ChangeStats,
     SnapshotGraph,
     churn_rows,
-    common_neighbors,
     diff,
     load_edge_stream,
     parse_edge_file,
@@ -16,7 +15,7 @@ from dgt.snapshot_graph import (
     write_edge_list,
 )
 
-from oracles import random_digraph
+from oracles import common_neighbors, random_digraph
 
 
 class TestLoadEdgeStream:
