@@ -63,13 +63,17 @@ class TestSimilarityKernel:
         with pytest.raises(EmptyGraphError):
             GainContext(g)
 
-    def test_matches_branch_formula_everywhere(self):
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_matches_branch_formula_everywhere(self, reverse):
+        # rows are memoized and filled on demand, so the query order decides
+        # which entries exist when; it must not change any value
         rng = np.random.default_rng(7)
         for _ in range(15):
             g = random_digraph(rng, 18)
             ctx = GainContext(g)
-            for i in g.nodes:
-                for j in g.nodes:
+            order = sorted(g.nodes, reverse=reverse)
+            for i in order:
+                for j in order:
                     if i != j:
                         assert similarity(ctx, i, j) == similarity_oracle(g, i, j)
 
