@@ -16,6 +16,7 @@ import argparse
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .errors import AuditError, DgtError
@@ -113,45 +114,38 @@ def _make_variant(args, seed_fraction: float | None = None) -> VariantKind:
 
 
 def _make_config(args) -> GameConfig:
+    if args.repetitions < 1:
+        raise DgtError("--repetitions must be >= 1")
+    if args.jobs < 1:
+        raise DgtError("--jobs must be >= 1")
     return GameConfig(gain=args.gain, max_passes=args.max_passes,
                       change_fraction_threshold=args.threshold, rng_seed=args.seed)
 
 
-def _rep_worker(payload):
-    seq, variant, config, truth, rep, undirected, unlabeled = payload
-    outcomes = run_repetition(seq, variant, config, truth=truth, repetition=rep)
+def _rep_rows(seq, variant, config, truth, undirected, unlabeled, contexts, rep):
+    """(outcome, nmi, modularity, true count) per snapshot of one repetition;
+    `contexts` None builds each snapshot's GainContext in the repetition."""
+    outcomes = run_repetition(seq, variant, config, truth=truth, repetition=rep,
+                              contexts=contexts)
     rows = []
     for outcome in outcomes:
         score, mod, n_true = evaluate_outcome(
             seq, outcome, truth=truth, undirected=undirected,
             unlabeled_as_community=unlabeled)
         rows.append((outcome, score, mod, n_true))
-    return rep, rows
+    return rows
 
 
 def _run_all_reps(seq, variant, config, truth, args):
-    payloads = [
-        (seq, variant, config, truth, rep, args.undirected, args.unlabeled_as_community)
-        for rep in range(args.repetitions)
-    ]
-    if args.jobs > 1 and args.repetitions > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_rep_worker, payloads))
-        results.sort(key=lambda item: item[0])
-        return [rows for _, rows in results]
+    fixed = (seq, variant, config, truth, args.undirected, args.unlabeled_as_community)
+    reps = range(args.repetitions)
+    # a fork pool starts all its workers up front: never more than tasks
+    jobs = min(args.jobs, args.repetitions)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(partial(_rep_rows, *fixed, None), reps))
     contexts = [GainContext(g) for g in seq.snapshots]
-    all_rows = []
-    for rep in range(args.repetitions):
-        outcomes = run_repetition(seq, variant, config, truth=truth,
-                                  repetition=rep, contexts=contexts)
-        rows = []
-        for outcome in outcomes:
-            score, mod, n_true = evaluate_outcome(
-                seq, outcome, truth=truth, undirected=args.undirected,
-                unlabeled_as_community=args.unlabeled_as_community)
-            rows.append((outcome, score, mod, n_true))
-        all_rows.append(rows)
-    return all_rows
+    return list(map(partial(_rep_rows, *fixed, contexts), reps))
 
 
 def _write_partition(path, seq: SnapshotSequence, partition: dict) -> None:
@@ -183,8 +177,6 @@ def cmd_run(args) -> int:
     truth = _load_truth(args, seq)
     variant = _make_variant(args)
     config = _make_config(args)
-    if args.repetitions < 1:
-        raise DgtError("--repetitions must be >= 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

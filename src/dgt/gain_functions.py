@@ -27,6 +27,10 @@ co-member once per shared community as its triple sum dictates.  Both
 gains are normalized by the snapshot edge count, as is the loss (one unit
 per held label), so utilities of different snapshots live on comparable
 scales.
+
+`_MoveScorer` is the only place where move deltas (join, leave, switch)
+are computed: the game engine's best response and `utility_delta` both
+call it.
 """
 
 from __future__ import annotations
@@ -213,26 +217,79 @@ def _contrib(ctx: GainContext, agent: int, community_id: int, structure, gain: s
     return ctx.contrib_modularity(agent, members, structure.memberships)
 
 
-def coverage_counts(structure, agent: int, held) -> dict[int, int]:
-    """How many of the agent's held communities contain each co-member."""
-    cnt: dict[int, int] = {}
-    for k in held:
-        for j in structure.members_sorted(k):
-            if j != agent:
-                cnt[j] = cnt.get(j, 0) + 1
-    return cnt
+class _MoveScorer:
+    """Utility changes of one agent's join, leave and switch moves against
+    the current structure; the only place move deltas are computed.
 
+    Built once per agent turn, so the coverage counts and the loss terms
+    are computed once; each community's raw gain is memoized, so a switch
+    reuses the values its two legs already computed.
+    """
 
-def _marginal_join(ctx: GainContext, agent: int, members, cnt) -> float:
-    """Kernel sum over members that would be new co-members."""
-    row = ctx.kernel_row(agent)
-    return sum(row[j] for j in members if j != agent and not cnt.get(j))
+    __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
+                 "join_loss", "leave_loss", "cnt", "row", "raw")
 
+    def __init__(self, ctx: GainContext, agent: int, structure, gain: str):
+        self.ctx = ctx
+        self.agent = agent
+        self.structure = structure
+        self.held = held = structure.memberships.get(agent, frozenset())
+        n_labels = len(held)
+        m = ctx.m
+        self.join_loss = (n_labels + 1) / m - n_labels / m
+        self.leave_loss = (n_labels - 1) / m - n_labels / m
+        self.similarity = gain == "similarity"
+        if self.similarity:
+            self.norm = m
+            # cnt[j]: how many held communities contain co-member j
+            self.cnt = cnt = {}
+            for k in held:
+                for j in structure.members_sorted(k):
+                    if j != agent:
+                        cnt[j] = cnt.get(j, 0) + 1
+            self.row = ctx.kernel_row(agent)
+        else:
+            self.norm = ctx.twom
+        self.raw: dict[int, float] = {}
 
-def _marginal_leave(ctx: GainContext, agent: int, members, cnt) -> float:
-    """Kernel sum over members co-owned through this community alone."""
-    row = ctx.kernel_row(agent)
-    return sum(row[j] for j in members if j != agent and cnt.get(j) == 1)
+    def _raw_gain(self, k: int) -> float:
+        """Similarity: kernel sum over the members a join of k would add
+        (covered by no held community) or a leave of k would drop (covered
+        by k alone).  Modularity: the community's raw contribution."""
+        raw = self.raw.get(k)
+        if raw is None:
+            if self.similarity:
+                agent, cnt, row = self.agent, self.cnt, self.row
+                covered = 1 if k in self.held else 0
+                raw = sum(row[j] for j in self.structure.members_sorted(k)
+                          if j != agent and cnt.get(j, 0) == covered)
+            else:
+                raw = _contrib(self.ctx, self.agent, k, self.structure, "modularity")
+            self.raw[k] = raw
+        return raw
+
+    def join(self, k: int) -> float:
+        return self._raw_gain(k) / self.norm - self.join_loss
+
+    def leave(self, k: int) -> float:
+        return -(self._raw_gain(k) / self.norm) - self.leave_loss
+
+    def switch(self, k_out: int, k_in: int) -> float:
+        if not self.similarity:
+            return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
+        # k_in's members count as gained when no held community other
+        # than k_out covers them
+        agent, cnt, row = self.agent, self.cnt, self.row
+        out_members = self.structure.communities[k_out]
+        lost = self._raw_gain(k_out)
+        gained = 0.0
+        for j in self.structure.members_sorted(k_in):
+            if j == agent:
+                continue
+            covered = cnt.get(j, 0) - (1 if j in out_members else 0)
+            if covered == 0:
+                gained += row[j]
+        return (gained - lost) / self.norm
 
 
 def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "similarity") -> float:
@@ -248,10 +305,6 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
     if gain not in GAIN_KINDS:
         raise PreconditionError(f"gain must be one of {GAIN_KINDS}, got {gain!r}")
     held = structure.memberships.get(agent, frozenset())
-    n_labels = len(held)
-    m = ctx.m
-    similarity_gain = gain == "similarity"
-
     if isinstance(action, NoOp):
         return 0.0
     if isinstance(action, Join):
@@ -259,22 +312,12 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
         if k in held:
             raise PreconditionError(f"agent {agent} already holds community {k}")
         _check_labels((k,), structure)
-        if similarity_gain:
-            cnt = coverage_counts(structure, agent, held)
-            gain_delta = _marginal_join(ctx, agent, structure.members_sorted(k), cnt) / m
-        else:
-            gain_delta = _contrib(ctx, agent, k, structure, gain) / ctx.twom
-        return gain_delta - ((n_labels + 1) / m - n_labels / m)
+        return _MoveScorer(ctx, agent, structure, gain).join(k)
     if isinstance(action, Leave):
         k = action.community
         if k not in held:
             raise PreconditionError(f"agent {agent} does not hold community {k}")
-        if similarity_gain:
-            cnt = coverage_counts(structure, agent, held)
-            gain_delta = -(_marginal_leave(ctx, agent, structure.members_sorted(k), cnt) / m)
-        else:
-            gain_delta = -(_contrib(ctx, agent, k, structure, gain) / ctx.twom)
-        return gain_delta - ((n_labels - 1) / m - n_labels / m)
+        return _MoveScorer(ctx, agent, structure, gain).leave(k)
     if isinstance(action, Switch):
         k_out, k_in = action.out_community, action.in_community
         if k_out == k_in:
@@ -284,20 +327,5 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
         if k_in in held:
             raise PreconditionError(f"agent {agent} already holds community {k_in}")
         _check_labels((k_in,), structure)
-        if similarity_gain:
-            cnt = coverage_counts(structure, agent, held)
-            out_members = structure.communities[k_out]
-            row = ctx.kernel_row(agent)
-            lost = _marginal_leave(ctx, agent, structure.members_sorted(k_out), cnt)
-            gained = 0.0
-            for j in structure.members_sorted(k_in):
-                if j == agent:
-                    continue
-                covered = cnt.get(j, 0) - (1 if j in out_members else 0)
-                if covered == 0:
-                    gained += row[j]
-            return (gained - lost) / m
-        gain_in = _contrib(ctx, agent, k_in, structure, gain) / ctx.twom
-        gain_out = _contrib(ctx, agent, k_out, structure, gain) / ctx.twom
-        return gain_in - gain_out
+        return _MoveScorer(ctx, agent, structure, gain).switch(k_out, k_in)
     raise PreconditionError(f"unknown action {action!r}")

@@ -22,12 +22,9 @@ from .gain_functions import (
     GAIN_KINDS,
     GainContext,
     _contrib,
-    _marginal_join,
-    _marginal_leave,
-    coverage_counts,
+    _MoveScorer,
     gain_modularity,
     gain_similarity,
-    utility_delta,
 )
 from .snapshot_graph import SnapshotGraph
 
@@ -259,10 +256,9 @@ class SnapshotResult:
     next_id: int = 0
 
 
-def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStructure) -> list[int]:
+def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStructure, held) -> list[int]:
     """Join targets: communities hosting at least one in- or out-neighbor,
-    excluding communities the agent already holds."""
-    held = structure.memberships.get(agent, set())
+    excluding the agent's `held` communities."""
     g = ctx.graph
     seen: set[int] = set()
     for v in g.out_adj[agent]:
@@ -279,38 +275,19 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
                    config: GameConfig) -> tuple[Action, float, int]:
     """Returns (action, delta, candidates_considered); NoOp when no action
     has a strictly positive utility change."""
-    gain = config.gain
-    m = ctx.m
-    held = structure.memberships.get(agent, set())
-    n_labels = len(held)
-    join_ids = _candidate_communities(ctx, agent, structure)
-
-    join_loss = (n_labels + 1) / m - n_labels / m
-    leave_loss = (n_labels - 1) / m - n_labels / m
-
-    if gain == "similarity":
-        cnt = coverage_counts(structure, agent, held)
-
-        def join_gain(k: int) -> float:
-            return _marginal_join(ctx, agent, structure.members_sorted(k), cnt) / m
-
-        def leave_gain(k: int) -> float:
-            return _marginal_leave(ctx, agent, structure.members_sorted(k), cnt) / m
-    else:
-        def join_gain(k: int) -> float:
-            return _contrib(ctx, agent, k, structure, gain) / ctx.twom
-
-        leave_gain = join_gain
+    score = _MoveScorer(ctx, agent, structure, config.gain)
+    held = score.held
+    join_ids = _candidate_communities(ctx, agent, structure, held)
 
     best_join: tuple[float, int] | None = None
     for k in join_ids:
-        delta = join_gain(k) - join_loss
+        delta = score.join(k)
         if best_join is None or delta > best_join[0]:
             best_join = (delta, k)
 
     best_leave: tuple[float, int] | None = None
     for k in sorted(held):
-        delta = -leave_gain(k) - leave_loss
+        delta = score.leave(k)
         if best_leave is None or delta > best_leave[0]:
             best_leave = (delta, k)
 
@@ -323,10 +300,10 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
         candidates.append((best_leave[0], _KIND_RANK["leave"], -best_leave[1], Leave(best_leave[1])))
     if config.allow_switch and best_join is not None and best_leave is not None:
         switch = Switch(best_leave[1], best_join[1])
-        delta = utility_delta(ctx, agent, switch, structure, gain)
+        delta = score.switch(best_leave[1], best_join[1])
         candidates.append((delta, _KIND_RANK["switch"], -switch.in_community, switch))
 
-    considered = len(join_ids) + n_labels + 1 + (1 if config.allow_switch else 0)
+    considered = len(join_ids) + len(held) + 1 + (1 if config.allow_switch else 0)
     if not candidates:
         return NOOP, 0.0, considered
     delta, _, _, action = max(candidates)

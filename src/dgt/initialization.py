@@ -60,32 +60,35 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
     """
     truth = GroundTruth()
     skipped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty ground-truth file")
-        if [h.strip().lower() for h in header[:3]] != ["snapshot", "node_label", "community_label"]:
-            raise FormatError(f"{path}: expected header snapshot,node_label,community_label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                t = int(row[0])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {row[0]!r}") from exc
-            if t < 0:
-                raise FormatError(f"{path}:{lineno}: negative snapshot ordinal")
-            label = row[1]
-            node = seq.label_to_id.get(label)
-            if node is None and label.isdigit():
-                node = seq.label_to_id.get(int(label))
-            if node is None:
-                skipped += 1
-                continue
-            truth.by_snapshot.setdefault(t, {})[node] = row[2]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty ground-truth file")
+            if [h.strip().lower() for h in header[:3]] != ["snapshot", "node_label", "community_label"]:
+                raise FormatError(f"{path}: expected header snapshot,node_label,community_label")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 3:
+                    raise FormatError(f"{path}:{lineno}: expected 3 columns")
+                try:
+                    t = int(row[0])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {row[0]!r}") from exc
+                if t < 0:
+                    raise FormatError(f"{path}:{lineno}: negative snapshot ordinal")
+                label = row[1]
+                node = seq.label_to_id.get(label)
+                if node is None and label.isdigit():
+                    node = seq.label_to_id.get(int(label))
+                if node is None:
+                    skipped += 1
+                    continue
+                truth.by_snapshot.setdefault(t, {})[node] = row[2]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
     return truth
 
 

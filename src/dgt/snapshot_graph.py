@@ -262,7 +262,7 @@ def _text_lines(path) -> Iterator[tuple[int, str]]:
         with open(path, "r", encoding="utf-8") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+        raise FormatError(f"{path}: not UTF-8 text") from exc
 
 
 def parse_edge_file(path, snapshot_by: str = "column"):

@@ -100,14 +100,16 @@ class TestRun:
         ])
         assert rc == 1
 
-    @pytest.mark.parametrize("bad_file", ["edges", "nodes"])
+    @pytest.mark.parametrize("bad_file", ["edges", "nodes", "truth"])
     def test_non_utf8_input_exits_one(self, tmp_path, capsys, bad_file):
-        files = {"edges": b"a b 0\nb c 0\n", "nodes": b"d 0\n"}
+        files = {"edges": b"a b 0\nb c 0\n", "nodes": b"d 0\n",
+                 "truth": b"snapshot,node_label,community_label\n0,a,x\n"}
         files[bad_file] = b"\xff\xfe" + files[bad_file]
         for name, data in files.items():
             (tmp_path / f"{name}.txt").write_bytes(data)
         rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
                        "--nodes", str(tmp_path / "nodes.txt"),
+                       "--truth", str(tmp_path / "truth.txt"),
                        "--variant", "dgts", "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -205,6 +207,50 @@ class TestDeterminism:
             assert rc == 0
             digests.append(tree_digest(out))
         assert digests[0] == digests[1]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """Replaces the process pool with one that records its `max_workers`
+    and runs every task in this process, so no worker is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestJobs:
+    def run(self, data_dir, tmp_path, jobs):
+        return cli.main([
+            "run", "--input", str(data_dir / "edges.txt"),
+            "--variant", "dgts", "--repetitions", "2",
+            "--jobs", jobs, "--out", str(tmp_path / "out"),
+        ])
+
+    def test_pool_never_larger_than_repetitions(self, data_dir, tmp_path, pool_sizes):
+        assert self.run(data_dir, tmp_path, "5000") == 0
+        assert pool_sizes == [2]
+        assert len(list((tmp_path / "out").glob("communities_*_rep1.csv"))) == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_one(self, data_dir, tmp_path, capsys, pool_sizes, jobs):
+        assert self.run(data_dir, tmp_path, jobs) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs must be >= 1" in err
+        assert pool_sizes == []
 
 
 class TestChurnCommand:
