@@ -122,7 +122,7 @@ def _make_config(args) -> GameConfig:
                       change_fraction_threshold=args.threshold, rng_seed=args.seed)
 
 
-def _rep_rows(seq, variant, config, truth, undirected, unlabeled, contexts, rep):
+def _rep_rows(seq, config, truth, undirected, unlabeled, contexts, variant, rep):
     """(outcome, nmi, modularity, true count) per snapshot of one repetition;
     `contexts` None builds each snapshot's GainContext in the repetition."""
     outcomes = run_repetition(seq, variant, config, truth=truth, repetition=rep,
@@ -136,16 +136,39 @@ def _rep_rows(seq, variant, config, truth, undirected, unlabeled, contexts, rep)
     return rows
 
 
-def _run_all_reps(seq, variant, config, truth, args):
-    fixed = (seq, variant, config, truth, args.undirected, args.unlabeled_as_community)
+# The leading `_rep_rows` arguments of a --jobs pool worker, set once when
+# the worker starts, so that no task has to carry the sequence.
+_worker_fixed: tuple = ()
+
+
+def _init_worker(*fixed):
+    global _worker_fixed
+    _worker_fixed = fixed
+
+
+def _worker_rep_rows(variant, rep):
+    return _rep_rows(*_worker_fixed, None, variant, rep)
+
+
+def _run_all_reps(seq, variants, config, truth, args):
+    """Yields, for each variant in turn, the `_rep_rows` of every repetition.
+
+    With --jobs one process pool serves every variant: its workers get the
+    fixed arguments once, and a task carries only the variant and the rep.
+    """
+    fixed = (seq, config, truth, args.undirected, args.unlabeled_as_community)
     reps = range(args.repetitions)
     # a fork pool starts all its workers up front: never more than tasks
     jobs = min(args.jobs, args.repetitions)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(partial(_rep_rows, *fixed, None), reps))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=fixed) as pool:
+            for variant in variants:
+                yield list(pool.map(partial(_worker_rep_rows, variant), reps))
+        return
     contexts = [GainContext(g) for g in seq.snapshots]
-    return list(map(partial(_rep_rows, *fixed, contexts), reps))
+    for variant in variants:
+        yield list(map(partial(_rep_rows, *fixed, contexts, variant), reps))
 
 
 def _write_partition(path, seq: SnapshotSequence, partition: dict) -> None:
@@ -180,7 +203,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    per_rep = _run_all_reps(seq, variant, config, truth, args)
+    [per_rep] = _run_all_reps(seq, [variant], config, truth, args)
 
     for rep, rows in enumerate(per_rep):
         for outcome, _, _, _ in rows:
@@ -221,10 +244,11 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    variants = [VariantKind("dgtg", seed_fraction=fraction) for fraction in fractions]
     rows = []
-    for fraction in fractions:
-        variant = VariantKind("dgtg", seed_fraction=fraction)
-        per_rep = _run_all_reps(seq, variant, config, truth, args)
+    # strict: zip reads the generator to its end, which closes the pool
+    per_variant = _run_all_reps(seq, variants, config, truth, args)
+    for fraction, per_rep in zip(fractions, per_variant, strict=True):
         rep_means = []
         for rep_rows in per_rep:
             scores = [score for _, score, _, _ in rep_rows if score is not None]

@@ -11,6 +11,7 @@ dgtg  materializes a seeded random subset of ground-truth communities whose
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import ConfigError, FormatError, PreconditionError
 from .game_engine import CommunityStructure, SnapshotResult
 from .snapshot_graph import SnapshotGraph, SnapshotSequence
+
+logger = logging.getLogger(__name__)
 
 VARIANT_KINDS = ("dgt", "dgts", "dgtp", "dgtg")
 
@@ -56,7 +59,9 @@ class GroundTruth:
 def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
     """Read the ground-truth CSV `snapshot,node_label,community_label`.
 
-    Rows naming nodes that never appear in the sequence are skipped.
+    Rows naming nodes that never appear in the sequence are skipped, and
+    their count is logged as a warning.  A label of digits also matches the
+    integer label of the same value.
     """
     truth = GroundTruth()
     skipped = 0
@@ -82,13 +87,18 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                 label = row[1]
                 node = seq.label_to_id.get(label)
                 if node is None and label.isdigit():
-                    node = seq.label_to_id.get(int(label))
+                    try:
+                        node = seq.label_to_id.get(int(label))
+                    except ValueError:  # isdigit() accepts "²", which int() rejects
+                        pass
                 if node is None:
                     skipped += 1
                     continue
                 truth.by_snapshot.setdefault(t, {})[node] = row[2]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
+    if skipped:
+        logger.warning("skipped %d ground-truth row(s) naming unknown nodes", skipped)
     return truth
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -153,78 +154,63 @@ class ChangeStats:
 def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> SnapshotSequence:
     """Build a SnapshotSequence from (source-label, target-label, ordinal) records.
 
-    Node ids are assigned densely by first appearance in the record stream
-    (then in `extra_nodes`).  Duplicate edges within a snapshot collapse to
-    one; self-edges are dropped and counted.  Ordinals are densified: the
-    k-th distinct ordinal (ascending) becomes snapshot k, so the loaded
-    ordinals always form the contiguous range 0..M-1.
+    `records` may be any iterable and is read once.  Node ids are assigned
+    densely by first appearance in the record stream (then in
+    `extra_nodes`).  Duplicate edges within a snapshot collapse to one;
+    self-edges are dropped and counted.  Ordinals are densified: the k-th
+    distinct ordinal (ascending) becomes snapshot k, so the loaded ordinals
+    always form the contiguous range 0..M-1.
 
     `extra_nodes` is an optional iterable of (label, ordinal) declaring
     nodes that belong to a snapshot even without incident edges.  With
     `undirected=True` every record is materialized as two directed edges.
 
     Raises FormatError on empty input, negative ordinals, or a snapshot
-    that ends up with no edges at all.
+    that ends up with no edges at all.  A negative ordinal is reported only
+    once the whole stream has been read, so an error the stream itself
+    raises (a parse error) comes first.
     """
-    records = list(records)
-    if not records:
-        raise FormatError("no edges")
-    extra_nodes = list(extra_nodes) if extra_nodes else []
-
     label_to_id: dict = {}
-    id_to_label: list = []
-
-    def intern(label) -> int:
-        node = label_to_id.get(label)
-        if node is None:
-            node = len(id_to_label)
-            label_to_id[label] = node
-            id_to_label.append(label)
-        return node
-
-    raw: list[tuple[int, int, int]] = []
-    ordinals = set()
+    buckets: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+    kept = 0
     self_dropped = 0
+    records = iter(records)
     for src, dst, t in records:
         t = int(t)
         if t < 0:
+            deque(records, maxlen=0)  # a parse error later in the stream comes first
             raise FormatError(f"negative snapshot ordinal {t}")
-        i = intern(src)
-        j = intern(dst)
-        ordinals.add(t)
+        i = label_to_id.setdefault(src, len(label_to_id))
+        j = label_to_id.setdefault(dst, len(label_to_id))
+        bucket = buckets[t]
         if i == j:
             self_dropped += 1
             continue
-        raw.append((i, j, t))
-
-    declared: dict[int, set[int]] = {}
-    for label, t in extra_nodes:
-        t = int(t)
-        if t < 0:
-            raise FormatError(f"negative snapshot ordinal {t} in node list")
-        ordinals.add(t)
-        declared.setdefault(t, set()).add(intern(label))
-
-    if self_dropped:
-        logger.warning("dropped %d self-edge(s) from input", self_dropped)
-
-    dense = {t: k for k, t in enumerate(sorted(ordinals))}
-    edges_by_t: dict[int, set[tuple[int, int]]] = {k: set() for k in range(len(dense))}
-    duplicates = 0
-    for i, j, t in raw:
-        k = dense[t]
-        bucket = edges_by_t[k]
-        before = len(bucket)
+        kept += 1
         bucket.add((i, j))
         if undirected:
             bucket.add((j, i))
-            duplicates += before + 2 - len(bucket)
-        else:
-            duplicates += before + 1 - len(bucket)
+    if not buckets:
+        raise FormatError("no edges")
 
+    declared: dict[int, set[int]] = {}
+    for label, t in extra_nodes or ():
+        t = int(t)
+        if t < 0:
+            raise FormatError(f"negative snapshot ordinal {t} in node list")
+        declared.setdefault(t, set()).add(label_to_id.setdefault(label, len(label_to_id)))
+
+    # each record added 1 (2 if undirected) edges; the buckets kept the rest
+    duplicates = (2 if undirected else 1) * kept - sum(map(len, buckets.values()))
+    if self_dropped:
+        logger.warning("dropped %d self-edge(s) from input", self_dropped)
+    if duplicates:
+        logger.warning("collapsed %d duplicate edge(s) in input", duplicates)
+
+    dense = {t: k for k, t in enumerate(sorted(buckets.keys() | declared.keys()))}
     snapshots = []
-    for k in range(len(dense)):
-        edges = edges_by_t[k]
+    for raw, k in dense.items():
+        edges = buckets.pop(raw, None)
         if not edges:
             raise FormatError(f"snapshot {k} has no edges")
         extras = {v for t, vs in declared.items() if dense[t] == k for v in vs}
@@ -233,7 +219,7 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     return SnapshotSequence(
         snapshots=snapshots,
         label_to_id=label_to_id,
-        id_to_label=id_to_label,
+        id_to_label=list(label_to_id),
         self_edges_dropped=self_dropped,
         duplicates_collapsed=duplicates,
     )
@@ -265,6 +251,74 @@ def _text_lines(path) -> Iterator[tuple[int, str]]:
         raise FormatError(f"{path}: not UTF-8 text") from exc
 
 
+def _edge_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every record line of an edge-list file."""
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) < 3:
+            raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
+        yield lineno, parts
+
+
+def _edge_records(path, snapshot_by: str):
+    """Loader records of an edge-list file: a generator in column mode, a
+    list in window mode.  The mode is checked before the file is opened."""
+    if snapshot_by == "column":
+        return _column_records(path)
+    if not snapshot_by.startswith("window:"):
+        raise FormatError(f"unknown snapshot-by mode {snapshot_by!r}")
+    try:
+        window = float(snapshot_by.split(":", 1)[1])
+    except ValueError as exc:
+        raise FormatError(f"bad window width in {snapshot_by!r}") from exc
+    if not math.isfinite(window) or window <= 0:
+        raise FormatError("window width must be positive and finite")
+    return _window_records(path, window)
+
+
+def _column_records(path) -> Iterator[tuple[str, str, int]]:
+    """Records read line by line.  A short line is reported where it is
+    found; a bad snapshot ordinal only after the last line, so that a short
+    line anywhere in the file comes first."""
+    bad_ordinal = None
+    for lineno, parts in _edge_rows(path):
+        try:
+            t = int(parts[2])
+        except ValueError:
+            if bad_ordinal is None:
+                bad_ordinal = f"{path}:{lineno}: bad snapshot ordinal {parts[2]!r}"
+            continue
+        yield parts[0], parts[1], t
+    if bad_ordinal is not None:
+        raise FormatError(bad_ordinal)
+
+
+def _window_records(path, window: float) -> list[tuple[str, str, int]]:
+    """Records with the last column bucketed into windows from the earliest
+    timestamp; the whole file is read first to find that timestamp."""
+    rows = list(_edge_rows(path))
+    stamps = []
+    for lineno, parts in rows:
+        try:
+            ts = float(parts[-1])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from exc
+        if not math.isfinite(ts):
+            raise FormatError(f"{path}:{lineno}: non-finite timestamp {parts[-1]!r}")
+        stamps.append(ts)
+    t0 = min(stamps) if stamps else 0.0
+    records = []
+    for (lineno, parts), ts in zip(rows, stamps):
+        bucket = (ts - t0) // window
+        if not math.isfinite(bucket):
+            raise FormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is too far "
+                              f"from the earliest for window width {window!r}")
+        records.append((parts[0], parts[1], int(bucket)))
+    return records
+
+
 def parse_edge_file(path, snapshot_by: str = "column"):
     """Parse a whitespace-separated edge-list file into loader records.
 
@@ -273,55 +327,7 @@ def parse_edge_file(path, snapshot_by: str = "column"):
     bucketed into windows of W seconds starting at the earliest timestamp
     (the snapshot column may then be omitted entirely).
     """
-    window = None
-    if snapshot_by != "column":
-        if not snapshot_by.startswith("window:"):
-            raise FormatError(f"unknown snapshot-by mode {snapshot_by!r}")
-        try:
-            window = float(snapshot_by.split(":", 1)[1])
-        except ValueError as exc:
-            raise FormatError(f"bad window width in {snapshot_by!r}") from exc
-        if not math.isfinite(window) or window <= 0:
-            raise FormatError("window width must be positive and finite")
-
-    rows = []
-    for lineno, line in _text_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
-        rows.append((lineno, parts))
-
-    if window is not None:
-        stamps = []
-        for lineno, parts in rows:
-            try:
-                ts = float(parts[-1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from exc
-            if not math.isfinite(ts):
-                raise FormatError(f"{path}:{lineno}: non-finite timestamp {parts[-1]!r}")
-            stamps.append(ts)
-        t0 = min(stamps) if stamps else 0.0
-        records = []
-        for (lineno, parts), ts in zip(rows, stamps):
-            bucket = (ts - t0) // window
-            if not math.isfinite(bucket):
-                raise FormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is too far "
-                                  f"from the earliest for window width {window!r}")
-            records.append((parts[0], parts[1], int(bucket)))
-        return records
-
-    records = []
-    for lineno, parts in rows:
-        try:
-            t = int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[2]!r}") from exc
-        records.append((parts[0], parts[1], t))
-    return records
+    return list(_edge_records(path, snapshot_by))
 
 
 def parse_node_file(path):
@@ -344,9 +350,14 @@ def parse_node_file(path):
 
 def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
                    undirected: bool = False) -> SnapshotSequence:
-    """Parse an edge-list file and load it into a SnapshotSequence."""
+    """Parse an edge-list file and load it into a SnapshotSequence.
+
+    The file is streamed line by line into the per-snapshot edge sets, so
+    no list of all records is held (except in window mode, which must find
+    the earliest timestamp first).
+    """
     return load_edge_stream(
-        parse_edge_file(path, snapshot_by=snapshot_by),
+        _edge_records(path, snapshot_by),
         extra_nodes=extra_nodes,
         undirected=undirected,
     )

@@ -3,7 +3,8 @@
 Everything here is written directly from the defining formulas with plain
 loops and set algebra, deliberately sharing no code with the library's
 computation paths (only the graph container is reused for adjacency
-access).
+access).  The edge-list parser and loader oracles are the earlier two-pass
+implementations, kept as the reference for the streaming loader.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from collections import Counter
 
 import numpy as np
 
-from dgt.errors import PreconditionError
-from dgt.snapshot_graph import SnapshotGraph
+from dgt.errors import FormatError, PreconditionError
+from dgt.snapshot_graph import SnapshotGraph, SnapshotSequence
 
 
 def similarity_oracle(g: SnapshotGraph, i: int, j: int) -> float:
@@ -166,3 +167,129 @@ def common_neighbors(g: SnapshotGraph, i: int, j: int) -> int:
     if not g.has_node(i) or not g.has_node(j):
         raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
     return len(set(g.out_adj[i]) & set(g.out_adj[j]))
+
+
+def parse_edge_file_oracle(path, snapshot_by: str = "column"):
+    """The two-pass edge-file parser: every line is split and kept before
+    any snapshot ordinal or timestamp is read."""
+    window = None
+    if snapshot_by != "column":
+        if not snapshot_by.startswith("window:"):
+            raise FormatError(f"unknown snapshot-by mode {snapshot_by!r}")
+        try:
+            window = float(snapshot_by.split(":", 1)[1])
+        except ValueError as exc:
+            raise FormatError(f"bad window width in {snapshot_by!r}") from exc
+        if not math.isfinite(window) or window <= 0:
+            raise FormatError("window width must be positive and finite")
+
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) < 3:
+                    raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
+                rows.append((lineno, parts))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
+
+    if window is not None:
+        stamps = []
+        for lineno, parts in rows:
+            try:
+                ts = float(parts[-1])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from exc
+            if not math.isfinite(ts):
+                raise FormatError(f"{path}:{lineno}: non-finite timestamp {parts[-1]!r}")
+            stamps.append(ts)
+        t0 = min(stamps) if stamps else 0.0
+        records = []
+        for (lineno, parts), ts in zip(rows, stamps):
+            bucket = (ts - t0) // window
+            if not math.isfinite(bucket):
+                raise FormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is too far "
+                                  f"from the earliest for window width {window!r}")
+            records.append((parts[0], parts[1], int(bucket)))
+        return records
+
+    records = []
+    for lineno, parts in rows:
+        try:
+            t = int(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[2]!r}") from exc
+        records.append((parts[0], parts[1], t))
+    return records
+
+
+def load_edge_stream_oracle(records, extra_nodes=None, undirected: bool = False) -> SnapshotSequence:
+    """The two-pass loader: ids and ordinals are collected over the whole
+    record list first, then duplicates are counted edge by edge."""
+    records = list(records)
+    if not records:
+        raise FormatError("no edges")
+    extra_nodes = list(extra_nodes) if extra_nodes else []
+
+    label_to_id: dict = {}
+    id_to_label: list = []
+
+    def intern(label) -> int:
+        node = label_to_id.get(label)
+        if node is None:
+            node = len(id_to_label)
+            label_to_id[label] = node
+            id_to_label.append(label)
+        return node
+
+    raw = []
+    ordinals = set()
+    self_dropped = 0
+    for src, dst, t in records:
+        t = int(t)
+        if t < 0:
+            raise FormatError(f"negative snapshot ordinal {t}")
+        i = intern(src)
+        j = intern(dst)
+        ordinals.add(t)
+        if i == j:
+            self_dropped += 1
+            continue
+        raw.append((i, j, t))
+
+    declared: dict[int, set[int]] = {}
+    for label, t in extra_nodes:
+        t = int(t)
+        if t < 0:
+            raise FormatError(f"negative snapshot ordinal {t} in node list")
+        ordinals.add(t)
+        declared.setdefault(t, set()).add(intern(label))
+
+    dense = {t: k for k, t in enumerate(sorted(ordinals))}
+    edges_by_t: dict[int, set] = {k: set() for k in range(len(dense))}
+    duplicates = 0
+    for i, j, t in raw:
+        bucket = edges_by_t[dense[t]]
+        before = len(bucket)
+        bucket.add((i, j))
+        if undirected:
+            bucket.add((j, i))
+            duplicates += before + 2 - len(bucket)
+        else:
+            duplicates += before + 1 - len(bucket)
+
+    snapshots = []
+    for k in range(len(dense)):
+        edges = edges_by_t[k]
+        if not edges:
+            raise FormatError(f"snapshot {k} has no edges")
+        extras = {v for t, vs in declared.items() if dense[t] == k for v in vs}
+        snapshots.append(SnapshotGraph.from_edges(edges, index_t=k, nodes=extras))
+
+    return SnapshotSequence(snapshots=snapshots, label_to_id=label_to_id,
+                            id_to_label=id_to_label, self_edges_dropped=self_dropped,
+                            duplicates_collapsed=duplicates)

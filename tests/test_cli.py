@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import logging
+import pickle
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "not UTF-8" in err
 
+    def test_truth_label_that_int_rejects_is_skipped(self, tmp_path, caplog):
+        (tmp_path / "edges.txt").write_text("a b 0\nb c 0\nc a 0\n", encoding="utf-8")
+        (tmp_path / "truth.csv").write_text(
+            "snapshot,node_label,community_label\n0,a,x\n0,\u00b2,y\n0,b,x\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="dgt"):
+            rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                           "--truth", str(tmp_path / "truth.csv"), "--variant", "dgts",
+                           "--repetitions", "1", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 1 ground-truth row(s) naming unknown nodes"]
+        assert read_csv(tmp_path / "out" / "metrics.csv")[0]["n_communities_true"] == "1"
+
     @pytest.mark.parametrize("width", ["nan", "inf"])
     def test_non_finite_window_exits_one(self, tmp_path, capsys, width):
         edge_file = tmp_path / "edges.txt"
@@ -212,12 +227,15 @@ class TestDeterminism:
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list:
     """Replaces the process pool with one that records its `max_workers`
-    and runs every task in this process, so no worker is ever started."""
+    and runs its initializer and every task in this process, so no worker
+    is ever started."""
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -244,6 +262,44 @@ class TestJobs:
         assert self.run(data_dir, tmp_path, "5000") == 0
         assert pool_sizes == [2]
         assert len(list((tmp_path / "out").glob("communities_*_rep1.csv"))) == 3
+
+    def test_sweep_opens_one_pool(self, data_dir, tmp_path, pool_sizes):
+        rc = cli.main([
+            "sweep-seed-fraction", "--input", str(data_dir / "edges.txt"),
+            "--truth", str(data_dir / "truth.csv"),
+            "--variant", "dgtg", "--repetitions", "2", "--jobs", "2",
+            "--fractions", "0,0.1,0.2", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert pool_sizes == [2]
+        assert len(read_csv(tmp_path / "out" / "sweep.csv")) == 3
+
+    def test_tasks_do_not_carry_the_sequence(self, data_dir, tmp_path, monkeypatch):
+        sent = []
+
+        class PicklingPool:
+            """Runs tasks in this process and records each task's pickled size."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                if initializer is not None:
+                    initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                sent.extend(len(pickle.dumps((fn, item))) for item in items)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+        assert self.run(data_dir, tmp_path, "2") == 0
+        sequence_bytes = len(pickle.dumps(read_edge_list(data_dir / "edges.txt")))
+        assert len(sent) == 2
+        assert max(sent) < sequence_bytes / 4
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_one(self, data_dir, tmp_path, capsys, pool_sizes, jobs):

@@ -1,4 +1,8 @@
-"""Property tests over generated small digraphs and community structures."""
+"""Property tests over generated small digraphs, community structures and
+edge-list files."""
+
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +18,14 @@ from dgt.game_engine import (
     Switch,
     _best_response,
 )
-from dgt.snapshot_graph import SnapshotGraph
+from dgt.snapshot_graph import SnapshotGraph, load_edge_stream, read_edge_list, write_edge_list
 
-from oracles import similarity_oracle, utility_oracle
+from oracles import (
+    load_edge_stream_oracle,
+    parse_edge_file_oracle,
+    similarity_oracle,
+    utility_oracle,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -142,3 +151,88 @@ def test_audit_holds_under_random_actions(data):
         assert structure.audit() == []
     assert _structure_state(dup) == frozen
     assert dup.audit() == []
+
+
+# Few labels, so that generated files repeat edges and hold self-edges; a
+# "#" label starts a comment when it comes first on a line.
+FILE_LABELS = ["a", "b"] * 3 + ["7", "07", "#c", "x#"]
+FILE_ORDINALS = ["0", "1", "-0", "+2", "1_0"]
+# Lines that a loader must reject, put in about every other file; two or
+# more in one file test which error is reported first.  The last one, a bad
+# ordinal followed by a short line, would otherwise be drawn too rarely.
+FILE_FAULTS = [b"a", b"a \xff 0", b"a b -1", b"b a x", b"a b 1.5 inf", b"b a x\na"]
+
+
+@st.composite
+def edge_file_bytes(draw) -> bytes:
+    """Small edge-list files with comments, blank lines, CRLF endings, an
+    optional trailing timestamp column, self-edges and duplicates, plus
+    faulty lines anywhere: short lines, bad or negative ordinals and bytes
+    that are not UTF-8."""
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["record"] * 4 + ["comment", "blank"]),
+                              max_size=12)):
+        if kind == "record":
+            cols = [draw(st.sampled_from(FILE_LABELS)), draw(st.sampled_from(FILE_LABELS)),
+                    draw(st.sampled_from(FILE_ORDINALS))]
+            if draw(st.booleans()):
+                cols.append(draw(st.sampled_from(FILE_ORDINALS)))
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(cols).encode())
+        elif kind == "comment":
+            lines.append(b"# a b 0")
+        else:
+            lines.append(draw(st.sampled_from([b"", b"  ", b"\t"])))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILE_FAULTS)))
+    return b"".join(draw(st.sampled_from([b"", b" ", b"\t"])) + line
+                    + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
+
+
+def _outcome(call):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def scratch_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp) / "edges.txt"
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=edge_file_bytes(),
+    snapshot_by=st.sampled_from(["column", "window:2"]),
+    undirected=st.booleans(),
+    extra=st.lists(st.tuples(st.sampled_from(["a", "ghost"]), st.integers(-1, 3)), max_size=2),
+)
+def test_read_edge_list_equals_two_pass_oracle(scratch_file, data, snapshot_by, undirected,
+                                               extra):
+    scratch_file.write_bytes(data)
+    streamed = _outcome(lambda: read_edge_list(
+        scratch_file, snapshot_by=snapshot_by, extra_nodes=extra, undirected=undirected))
+    reference = _outcome(lambda: load_edge_stream_oracle(
+        parse_edge_file_oracle(scratch_file, snapshot_by=snapshot_by),
+        extra_nodes=extra, undirected=undirected))
+    assert streamed == reference
+
+
+@PROPERTY_SETTINGS
+@given(records=st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "7", "x#"]), st.sampled_from(["a", "b", "c", "7"]),
+              st.integers(0, 3)).filter(lambda r: r[0] != r[1]),
+    min_size=1))
+def test_write_then_read_keeps_every_labeled_edge(scratch_file, records):
+    seq = load_edge_stream(records)
+    write_edge_list(seq, scratch_file)
+    reloaded = read_edge_list(scratch_file)
+    assert reloaded.num_snapshots == seq.num_snapshots
+    assert (reloaded.self_edges_dropped, reloaded.duplicates_collapsed) == (0, 0)
+    for g1, g2 in zip(seq.snapshots, reloaded.snapshots):
+        assert g2.index_t == g1.index_t
+        assert ({(seq.label_of(i), seq.label_of(j)) for i, j in g1.edge_set()}
+                == {(reloaded.label_of(i), reloaded.label_of(j)) for i, j in g2.edge_set()})
+        assert {seq.label_of(v) for v in g1.nodes} == {reloaded.label_of(v) for v in g2.nodes}

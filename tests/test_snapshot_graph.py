@@ -1,3 +1,7 @@
+import logging
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +39,26 @@ class TestLoadEdgeStream:
         seq = load_edge_stream([("a", "b", 0), ("a", "b", 0), ("a", "b", 0)])
         assert seq.snapshots[0].m == 1
         assert seq.duplicates_collapsed == 2
+
+    @pytest.mark.parametrize("records, undirected, collapsed", [
+        ([("a", "b", 0)] * 3, False, 2),
+        ([("a", "b", 0), ("b", "a", 0)], True, 2),
+        ([("a", "b", 0), ("b", "a", 0), ("a", "b", 1)], False, 0),
+    ])
+    def test_duplicates_reported(self, caplog, records, undirected, collapsed):
+        with caplog.at_level(logging.WARNING, logger="dgt.snapshot_graph"):
+            seq = load_edge_stream(records, undirected=undirected)
+        assert seq.duplicates_collapsed == collapsed
+        expected = [f"collapsed {collapsed} duplicate edge(s) in input"] if collapsed else []
+        assert [r.getMessage() for r in caplog.records] == expected
+
+    def test_negative_ordinal_reported_after_parse_errors(self):
+        def records():
+            yield ("a", "b", -1)
+            raise FormatError("parse error later in the stream")
+
+        with pytest.raises(FormatError, match="parse error"):
+            load_edge_stream(records())
 
     def test_thirty_snapshots(self):
         records = [(f"u{t}", f"v{t}", t) for t in range(30)]
@@ -220,6 +244,28 @@ class TestEdgeFileParsing:
             parse_edge_file(path, snapshot_by="window:abc")
         with pytest.raises(FormatError):
             parse_edge_file(path, snapshot_by="bogus")
+
+    def test_short_line_reported_before_earlier_bad_ordinal(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("a b zero\nb c 0\nc\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"e.txt:3: expected at least 3 columns"):
+            read_edge_list(path)
+
+    def test_loader_peak_memory_follows_the_loaded_graph(self, tmp_path):
+        rng = random.Random(11)
+        path = tmp_path / "e.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            for t in range(3):
+                for _ in range(17_000):
+                    fh.write(f"n{rng.randrange(5000)} n{rng.randrange(5000)} {t}\n")
+        tracemalloc.start()
+        try:
+            seq = read_edge_list(path)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(g.m for g in seq.snapshots) > 50_000
+        assert peak <= 2 * size
 
     def test_node_file(self, tmp_path):
         path = tmp_path / "nodes.txt"
