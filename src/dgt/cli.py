@@ -104,12 +104,11 @@ def _load_truth(args, seq: SnapshotSequence) -> GroundTruth | None:
     return load_ground_truth(args.truth, seq)
 
 
-def _make_variant(args, seed_fraction: float | None = None) -> VariantKind:
-    fraction = args.seed_fraction if seed_fraction is None else seed_fraction
+def _make_variant(args) -> VariantKind:
     if args.variant == "dgtg":
         if args.truth is None:
             raise DgtError("--variant dgtg requires --truth")
-        return VariantKind("dgtg", seed_fraction=fraction)
+        return VariantKind("dgtg", seed_fraction=args.seed_fraction)
     return VariantKind(args.variant)
 
 

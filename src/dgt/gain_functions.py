@@ -109,9 +109,10 @@ class GainContext:
             dd = float(d_in_i * d_out[j])
             wj = w.get(j, 0)
             row[j] = wj * (1.0 - dd / self.twom) if wj >= 1 else dd / self.fourm
-        out = g.out_sets[i]
+        # the row holds exactly i's out-neighbours here; `in` never calls
+        # __missing__
         for j, wj in w.items():
-            if j not in out:
+            if j not in row:
                 row[j] = wj / self.n
         return row
 
@@ -125,8 +126,7 @@ class GainContext:
         """Raw modularity contribution of one community: each co-member j
         adds A[agent][j]*|labels(j)| minus the degree null model share
         (multiply by 1/(2m) to get the gain share)."""
-        g = self.graph
-        out = g.out_sets[agent]
+        out = self.graph.out_adj[agent]
         d_in_agent = self.d_in[agent]
         total = 0.0
         for j in members:
@@ -280,13 +280,13 @@ class _MoveScorer:
         # k_in's members count as gained when no held community other
         # than k_out covers them
         agent, cnt, row = self.agent, self.cnt, self.row
-        out_members = self.structure.communities[k_out]
+        memberships = self.structure.memberships
         lost = self._raw_gain(k_out)
         gained = 0.0
         for j in self.structure.members_sorted(k_in):
             if j == agent:
                 continue
-            covered = cnt.get(j, 0) - (1 if j in out_members else 0)
+            covered = cnt.get(j, 0) - (1 if k_out in memberships[j] else 0)
             if covered == 0:
                 gained += row[j]
         return (gained - lost) / self.norm

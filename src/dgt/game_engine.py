@@ -87,6 +87,8 @@ class GameConfig:
             raise ConfigError("max_passes must be >= 1")
         if not 0.0 <= self.change_fraction_threshold <= 1.0:
             raise ConfigError("change_fraction_threshold must be in [0, 1]")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 class CommunityStructure:
@@ -95,18 +97,18 @@ class CommunityStructure:
     Ids are never reused: every new community draws from `next_id`, which
     only grows, including across snapshots when structures are carried
     forward.  Empty communities are removed as soon as their last member
-    leaves.  A sorted member list is kept per community so utility sums
-    run in a canonical order: communities with equal member sets then give
-    bitwise-equal contributions and tie-breaks stay meaningful.
+    leaves.  `communities` maps each id to its ascending member list, so
+    utility sums run in a canonical order: communities with equal member
+    sets then give bitwise-equal contributions and tie-breaks stay
+    meaningful.  Membership tests go through `memberships`.
     """
 
-    __slots__ = ("communities", "memberships", "next_id", "_member_lists")
+    __slots__ = ("communities", "memberships", "next_id")
 
     def __init__(self, next_id: int = 0):
-        self.communities: dict[int, set[int]] = {}
+        self.communities: dict[int, list[int]] = {}
         self.memberships: dict[int, set[int]] = {}
         self.next_id = next_id
-        self._member_lists: dict[int, list[int]] = {}
 
     @classmethod
     def from_singletons(cls, nodes, next_id: int = 0) -> "CommunityStructure":
@@ -126,21 +128,21 @@ class CommunityStructure:
             for k in ks:
                 if k >= next_id:
                     raise PreconditionError(f"label {k} is >= next_id {next_id}")
-                s.communities.setdefault(k, set()).add(v)
-        s._member_lists = {k: sorted(vs) for k, vs in s.communities.items()}
+                s.communities.setdefault(k, []).append(v)
+        for members in s.communities.values():
+            members.sort()
         return s
 
     def add_agent(self, agent: int) -> None:
         self.memberships.setdefault(agent, set())
 
     def create_community(self, members) -> int:
-        members = set(members)
+        members = sorted(set(members))
         if not members:
             raise PreconditionError("a new community needs at least one member")
         k = self.next_id
         self.next_id += 1
         self.communities[k] = members
-        self._member_lists[k] = sorted(members)
         for v in members:
             self.memberships.setdefault(v, set()).add(k)
         return k
@@ -156,23 +158,21 @@ class CommunityStructure:
         members = self.communities.get(community)
         if members is None:
             raise PreconditionError(f"no community {community}")
-        if agent in members:
+        labels = self.memberships.setdefault(agent, set())
+        if community in labels:
             raise PreconditionError(f"agent {agent} already in community {community}")
-        members.add(agent)
-        bisect.insort(self._member_lists[community], agent)
-        self.memberships.setdefault(agent, set()).add(community)
+        bisect.insort(members, agent)
+        labels.add(community)
 
     def leave(self, agent: int, community: int) -> None:
         members = self.communities.get(community)
-        if members is None or agent not in members:
+        labels = self.memberships.get(agent, ())
+        if members is None or community not in labels:
             raise PreconditionError(f"agent {agent} not in community {community}")
-        members.discard(agent)
-        ordered = self._member_lists[community]
-        del ordered[bisect.bisect_left(ordered, agent)]
-        self.memberships[agent].discard(community)
+        del members[bisect.bisect_left(members, agent)]
+        labels.discard(community)
         if not members:
             del self.communities[community]
-            del self._member_lists[community]
 
     def apply(self, agent: int, action: Action) -> None:
         if isinstance(action, NoOp):
@@ -192,16 +192,15 @@ class CommunityStructure:
 
     def members_sorted(self, community: int) -> list[int]:
         """Members of one community in ascending id order."""
-        return self._member_lists[community]
+        return self.communities[community]
 
     def membership_snapshot(self) -> dict[int, frozenset]:
         return {v: frozenset(ks) for v, ks in self.memberships.items()}
 
     def copy(self) -> "CommunityStructure":
         dup = CommunityStructure(self.next_id)
-        dup.communities = {k: set(vs) for k, vs in self.communities.items()}
+        dup.communities = {k: list(vs) for k, vs in self.communities.items()}
         dup.memberships = {v: set(ks) for v, ks in self.memberships.items()}
-        dup._member_lists = {k: list(vs) for k, vs in self._member_lists.items()}
         return dup
 
     def audit(self) -> list[str]:
@@ -210,14 +209,16 @@ class CommunityStructure:
         for k, members in self.communities.items():
             if not members:
                 problems.append(f"community {k} is empty")
-            if self._member_lists.get(k) != sorted(members):
-                problems.append(f"community {k} member order cache is stale")
+            if any(a >= b for a, b in zip(members, members[1:])):
+                problems.append(f"community {k} member list is not strictly ascending")
             for v in members:
-                if k not in self.memberships.get(v, set()):
+                if k not in self.memberships.get(v, ()):
                     problems.append(f"agent {v} in community {k} but label missing")
         for v, ks in self.memberships.items():
             for k in ks:
-                if v not in self.communities.get(k, set()):
+                members = self.communities.get(k, ())
+                at = bisect.bisect_left(members, v)
+                if at == len(members) or members[at] != v:
                     problems.append(f"agent {v} holds label {k} but is not a member")
         for k in self.communities:
             if k >= self.next_id:

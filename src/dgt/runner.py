@@ -33,21 +33,18 @@ class SnapshotOutcome:
 
 def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConfig,
                    truth: GroundTruth | None = None, repetition: int = 0,
-                   master_seed: int | None = None,
                    contexts: list[GainContext] | None = None) -> list[SnapshotOutcome]:
-    """Run every snapshot of `seq` in order under one derived seed stream.
+    """Run every snapshot of `seq` in order, seeded from `config.rng_seed`.
 
     `contexts` may pass pre-built GainContexts (one per snapshot) to share
     kernel caches across repetitions.
     """
-    if master_seed is None:
-        master_seed = config.rng_seed
     history: list[SnapshotResult] = []
     outcomes: list[SnapshotOutcome] = []
     next_id = 0
     for t, graph in enumerate(seq.snapshots):
         ctx = contexts[t] if contexts is not None else GainContext(graph)
-        game_seed, init_seed = derive_seeds(master_seed, repetition, t)
+        game_seed, init_seed = derive_seeds(config.rng_seed, repetition, t)
         rng = np.random.Generator(np.random.PCG64(init_seed))
         initial = init_structure(variant, t, history, graph, truth=truth,
                                  rng=rng, next_id=next_id)

@@ -34,12 +34,10 @@ class SnapshotGraph:
         "nodes",
         "out_adj",
         "in_adj",
-        "out_sets",
         "n",
         "m",
         "max_node",
         "_node_set",
-        "_edge_set",
     )
 
     def __init__(self, index_t: int, nodes: tuple[int, ...], out_adj: dict, in_adj: dict):
@@ -47,12 +45,10 @@ class SnapshotGraph:
         self.nodes = nodes
         self.out_adj = out_adj
         self.in_adj = in_adj
-        self.out_sets = {i: frozenset(js) for i, js in out_adj.items()}
         self.n = len(nodes)
         self.m = sum(len(js) for js in out_adj.values())
         self.max_node = max(nodes) if nodes else -1
         self._node_set = frozenset(nodes)
-        self._edge_set: frozenset | None = None
 
     @classmethod
     def from_edges(cls, edges, index_t: int = 0, nodes=()) -> "SnapshotGraph":
@@ -85,7 +81,7 @@ class SnapshotGraph:
         return i in self._node_set
 
     def has_edge(self, i: int, j: int) -> bool:
-        return i in self.out_sets and j in self.out_sets[i]
+        return j in self.out_adj.get(i, ())
 
     def degree_out(self, i: int) -> int:
         return len(self.out_adj[i])
@@ -94,11 +90,8 @@ class SnapshotGraph:
         return len(self.in_adj[i])
 
     def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            self._edge_set = frozenset(
-                (i, j) for i, js in self.out_adj.items() for j in js
-            )
-        return self._edge_set
+        """Every (source, target) pair, built anew on each call."""
+        return frozenset((i, j) for i, js in self.out_adj.items() for j in js)
 
     def __eq__(self, other):
         if not isinstance(other, SnapshotGraph):
@@ -366,8 +359,16 @@ def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
 def write_edge_list(seq: SnapshotSequence, path) -> None:
     """Serialize a sequence back to the edge-list text format.
 
-    Labels must not contain whitespace (the format is whitespace-separated).
+    Raises FormatError, before the file is opened, on a label that would
+    not read back as itself: an empty one, one starting with `#` (the line
+    would read as a comment) or one holding whitespace (the format is
+    whitespace-separated).
     """
+    for label in seq.id_to_label:
+        text = str(label)
+        if text.split() != [text] or text.startswith("#"):
+            raise FormatError(f"label {text!r} cannot be written to an edge list: "
+                              "it is empty, starts with '#' or holds whitespace")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for g in seq.snapshots:
             for i in g.nodes:

@@ -158,6 +158,13 @@ class TestRun:
             ])
         assert exc.value.code == 1
 
+    def test_negative_seed_exits_one(self, data_dir, tmp_path, capsys):
+        rc = cli.main(["run", "--input", str(data_dir / "edges.txt"), "--variant", "dgts",
+                       "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rng_seed must be >= 0" in err
+
     def test_diagnostics_files(self, data_dir, tmp_path):
         out = tmp_path / "out"
         rc = cli.main([

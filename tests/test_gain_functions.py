@@ -89,7 +89,7 @@ class TestSimilarityKernel:
                     if i == j:
                         continue
                     adjacent = g.has_edge(i, j)
-                    w = len(g.out_sets[i] & g.out_sets[j])
+                    w = len(set(g.out_adj[i]) & set(g.out_adj[j]))
                     seen.add((adjacent, w >= 1))
                     similarity(ctx, i, j)
         assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -72,8 +72,21 @@ class TestCommunityStructure:
     def test_audit_reports_empty_community(self):
         st = CommunityStructure.from_singletons([0])
         st.communities[0].clear()
-        st._member_lists[0].clear()
         assert any("empty" in p for p in audit(st))
+
+    @pytest.mark.parametrize("corrupt, reported", [
+        (lambda st: st.memberships[2].add(0), "agent 2 holds label 0 but is not a member"),
+        (lambda st: st.communities[0].append(2), "agent 2 in community 0 but label missing"),
+        (lambda st: st.communities[0].reverse(), "not strictly ascending"),
+        (lambda st: st.communities[0].insert(0, 0), "not strictly ascending"),
+        (lambda st: st.communities[2].clear(), "community 2 is empty"),
+    ], ids=["label_without_member", "member_without_label", "unsorted", "duplicate", "empty"])
+    def test_audit_reports_each_corruption(self, corrupt, reported):
+        st = CommunityStructure.from_singletons([0, 1, 2])
+        st.join(1, 0)
+        assert audit(st) == []
+        corrupt(st)
+        assert any(reported in p for p in audit(st))
 
     def test_copy_is_independent(self):
         st = CommunityStructure.from_singletons([0, 1])

@@ -102,7 +102,7 @@ class TestCarryover:
         history = [fake_result({0: {3}, 9: {3, 4}}, next_id=5)]
         st = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
         assert set(st.communities) == {3, 5}
-        assert st.communities[3] == {0}
+        assert st.communities[3] == [0]
         assert 4 not in st.communities
 
     def test_history_length_checked(self):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgt import cli
+from dgt.errors import FormatError
 from dgt.gain_functions import GainContext, utility_delta
 from dgt.game_engine import (
     CommunityStructure,
@@ -197,9 +199,14 @@ def _outcome(call):
 
 
 @pytest.fixture(scope="module")
-def scratch_file():
+def scratch_dir():
     with tempfile.TemporaryDirectory() as tmp:
-        yield Path(tmp) / "edges.txt"
+        yield Path(tmp)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(scratch_dir):
+    return scratch_dir / "edges.txt"
 
 
 @PROPERTY_SETTINGS
@@ -220,13 +227,22 @@ def test_read_edge_list_equals_two_pass_oracle(scratch_file, data, snapshot_by, 
     assert streamed == reference
 
 
+# Labels that would not read back: a comment, two fields, no field.
+UNWRITABLE_LABELS = ["#a", "a b", ""]
+
+
 @PROPERTY_SETTINGS
 @given(records=st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c", "7", "x#"]), st.sampled_from(["a", "b", "c", "7"]),
+    st.tuples(st.sampled_from(["a", "b", "c", "7", "x#"] + UNWRITABLE_LABELS),
+              st.sampled_from(["a", "b", "c", "7"] + UNWRITABLE_LABELS),
               st.integers(0, 3)).filter(lambda r: r[0] != r[1]),
     min_size=1))
 def test_write_then_read_keeps_every_labeled_edge(scratch_file, records):
     seq = load_edge_stream(records)
+    if set(seq.id_to_label) & set(UNWRITABLE_LABELS):
+        with pytest.raises(FormatError):
+            write_edge_list(seq, scratch_file)
+        return
     write_edge_list(seq, scratch_file)
     reloaded = read_edge_list(scratch_file)
     assert reloaded.num_snapshots == seq.num_snapshots
@@ -236,3 +252,78 @@ def test_write_then_read_keeps_every_labeled_edge(scratch_file, records):
         assert ({(seq.label_of(i), seq.label_of(j)) for i, j in g1.edge_set()}
                 == {(reloaded.label_of(i), reloaded.label_of(j)) for i, j in g2.edge_set()})
         assert {seq.label_of(v) for v in g1.nodes} == {reloaded.label_of(v) for v in g2.nodes}
+
+
+# (valid lines, faulty lines) of the edge, node and truth files
+EDGE_FILE_LINES = ([b"a b 0", b"b c 0", b"c a 0", b"a 7 1", b"7 b 1", b"b a 1 4", b"a a 0",
+                    b"# c a 0", b""], FILE_FAULTS)
+NODE_FILE_LINES = ([b"a 0", b"ghost 1", b"b 1", b"7 0"], [b"a", b"c -1", b"b x", b"\xff 0"])
+TRUTH_FILE_LINES = ([b"0,a,1", b"0,b,2", b"1,7,1", b"0,ghost,1", b"2,c,1", b""],
+                    [b"x,a,1", b"-1,a,1", b"0,a", b"0,\xff,1", b"t,node,label"])
+TRUTH_HEADER = b"snapshot,node_label,community_label"
+
+# flag -> (values the command accepts, values it must reject)
+CLI_FLAGS = {
+    "--seed": (["0", "5"], ["-1"]),
+    "--max-passes": (["2"], ["0"]),
+    "--repetitions": (["1", "2"], ["0"]),
+    "--jobs": (["1"], ["0", "-1"]),
+    "--threshold": (["0.05"], ["nan", "2"]),
+    "--seed-fraction": (["0.3"], ["1.5"]),
+    "--fractions": (["0,0.5"], ["x", ""]),
+    "--snapshot-by": (["column", "column", "window:2"], ["bogus", "window:0"]),
+}
+
+
+def _text_file(draw, path: Path, lines, first: bytes = b"", min_size: int = 0) -> None:
+    """Write mostly valid lines; one faulty line in about a third of files."""
+    valid, faulty = lines
+    body = [first] if first else []
+    body += draw(st.lists(st.sampled_from(valid), min_size=min_size, max_size=8))
+    if draw(st.sampled_from([False, False, True])):
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(faulty)))
+    path.write_bytes(b"\n".join(body))
+
+
+@st.composite
+def cli_argvs(draw, root: Path) -> list[str]:
+    """One `dgt` command line on freshly written small input files that
+    are mostly valid; at most one flag takes a value that argparse accepts
+    but the command must reject.  --jobs is never above 1, so no pool
+    starts."""
+    _text_file(draw, root / "edges.txt", EDGE_FILE_LINES, min_size=3)
+    command = draw(st.sampled_from(["run", "sweep-seed-fraction", "churn-report"]))
+    argv = [command, "--input", str(root / "edges.txt"), "--out", str(root / "out")]
+    if command == "churn-report":
+        flags = ["--snapshot-by"]
+    else:
+        flags = [f for f in CLI_FLAGS if command == "sweep-seed-fraction" or f != "--fractions"]
+        variants = ["dgtg"] if command == "sweep-seed-fraction" else ["dgt", "dgts", "dgtp", "dgtg"]
+        argv += ["--variant", draw(st.sampled_from(variants)),
+                 "--gain", draw(st.sampled_from(["similarity", "modularity"]))]
+    broken = draw(st.sampled_from([None, None, None, *flags]))
+    for flag in flags:
+        good, bad = CLI_FLAGS[flag]
+        argv += [flag, draw(st.sampled_from(bad if flag == broken else good))]
+    if draw(st.booleans()):
+        argv.append("--undirected")
+    if draw(st.booleans()):
+        _text_file(draw, root / "nodes.txt", NODE_FILE_LINES)
+        argv += ["--nodes", str(root / "nodes.txt")]
+    if command == "churn-report":
+        return argv
+    if command == "sweep-seed-fraction" or draw(st.booleans()):
+        _text_file(draw, root / "truth.csv", TRUTH_FILE_LINES, first=TRUTH_HEADER)
+        argv += ["--truth", str(root / "truth.csv")]
+    if draw(st.booleans()):
+        argv.append("--diagnostics")
+    if draw(st.booleans()):
+        argv.append("--unlabeled-as-community")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_main_returns_an_exit_code(scratch_dir, data):
+    argv = data.draw(cli_argvs(scratch_dir))
+    assert cli.main(argv) in (0, 1, 2)

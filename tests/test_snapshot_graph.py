@@ -22,6 +22,18 @@ from dgt.snapshot_graph import (
 from oracles import common_neighbors, random_digraph
 
 
+@pytest.fixture(scope="module")
+def random_edge_file(tmp_path_factory):
+    """Three snapshots of 17 000 random edges on 5 000 labels each."""
+    rng = random.Random(11)
+    path = tmp_path_factory.mktemp("edges") / "e.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        for t in range(3):
+            for _ in range(17_000):
+                fh.write(f"n{rng.randrange(5000)} n{rng.randrange(5000)} {t}\n")
+    return path
+
+
 class TestLoadEdgeStream:
     def test_two_node_cycle(self):
         seq = load_edge_stream([("a", "b", 0), ("b", "a", 0)])
@@ -267,6 +279,19 @@ class TestEdgeFileParsing:
         assert sum(g.m for g in seq.snapshots) > 50_000
         assert peak <= 2 * size
 
+    def test_loaded_sequence_holds_each_edge_once(self, random_edge_file):
+        tracemalloc.start()
+        try:
+            seq = read_edge_list(random_edge_file)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        edges = sum(g.m for g in seq.snapshots)
+        assert edges > 50_000
+        # about 100 B per edge: adjacency both ways plus the node and label
+        # maps; a frozenset of each node's out-neighbours adds about 110 more
+        assert size <= 150 * edges
+
     def test_node_file(self, tmp_path):
         path = tmp_path / "nodes.txt"
         path.write_text("# isolated\nghost 0\nother 2\n", encoding="utf-8")
@@ -289,3 +314,15 @@ class TestChurnReport:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t,e_plus,e_minus,n_changed"
         assert lines[1] == "1,0,0,0"
+
+    def test_report_leaves_the_sequence_as_large_as_it_was(self, random_edge_file, tmp_path):
+        tracemalloc.start()
+        try:
+            seq = read_edge_list(random_edge_file)
+            before = tracemalloc.get_traced_memory()[0]
+            write_churn_report(seq, tmp_path / "churn.csv")
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert seq.num_snapshots == 3
+        assert after - before < 0.01 * before
