@@ -34,7 +34,6 @@ from .game_engine import (
     NoOp,
     SnapshotResult,
     Switch,
-    audit,
     best_response,
     is_local_equilibrium,
     potential,
@@ -95,7 +94,6 @@ __all__ = [
     "SynthConfig",
     "UtilityBreakdown",
     "VariantKind",
-    "audit",
     "best_response",
     "churn_rows",
     "count_error",

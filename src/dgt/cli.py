@@ -23,7 +23,7 @@ from .errors import AuditError, DgtError
 from .gain_functions import GainContext
 from .game_engine import GameConfig
 from .initialization import GroundTruth, VariantKind, load_ground_truth
-from .metrics import _mean_std, write_metrics_report
+from .metrics import _mean_std, _sum_floats, write_metrics_report
 from .runner import evaluate_outcome, run_repetition
 from .snapshot_graph import (
     SnapshotSequence,
@@ -191,7 +191,7 @@ def _mean(values):
     values = [v for v in values if v is not None]
     if not values:
         return None
-    return float(sum(values) / len(values))
+    return _sum_floats(values) / len(values)
 
 
 def cmd_run(args) -> int:
@@ -252,7 +252,7 @@ def cmd_sweep(args) -> int:
         for rep_rows in per_rep:
             scores = [score for _, score, _, _ in rep_rows if score is not None]
             if scores:
-                rep_means.append(sum(scores) / len(scores))
+                rep_means.append(_sum_floats(scores) / len(scores))
         mean, std = _mean_std(rep_means) if rep_means else (float("nan"), 0.0)
         rows.append((fraction, mean, std))
 

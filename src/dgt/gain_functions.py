@@ -120,7 +120,12 @@ class GainContext:
         """Raw similarity contribution of one community: sum of the kernel
         over co-members (multiply by 1/m to get the gain share)."""
         row = self.kernel_row(agent)
-        return sum(row[j] for j in members if j != agent)
+        # not sum(): its float rounding changed in Python 3.12
+        total = 0.0
+        for j in members:
+            if j != agent:
+                total += row[j]
+        return total
 
     def contrib_modularity(self, agent: int, members, memberships) -> float:
         """Raw modularity contribution of one community: each co-member j
@@ -177,7 +182,7 @@ def gain_similarity(ctx: GainContext, agent: int, labels, structure) -> float:
     seen: set[int] = set()
     total = 0.0
     for k in sorted(labels):
-        for j in structure.members_sorted(k):
+        for j in structure.communities[k]:
             if j != agent and j not in seen:
                 seen.add(j)
                 total += row[j]
@@ -190,7 +195,7 @@ def gain_modularity(ctx: GainContext, agent: int, labels, structure) -> float:
     memberships = structure.memberships
     total = 0.0
     for k in sorted(labels):
-        total += ctx.contrib_modularity(agent, structure.members_sorted(k), memberships)
+        total += ctx.contrib_modularity(agent, structure.communities[k], memberships)
     return total / ctx.twom
 
 
@@ -211,7 +216,7 @@ def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "simila
 
 
 def _contrib(ctx: GainContext, agent: int, community_id: int, structure, gain: str) -> float:
-    members = structure.members_sorted(community_id)
+    members = structure.communities[community_id]
     if gain == "similarity":
         return ctx.contrib_similarity(agent, members)
     return ctx.contrib_modularity(agent, members, structure.memberships)
@@ -244,7 +249,7 @@ class _MoveScorer:
             # cnt[j]: how many held communities contain co-member j
             self.cnt = cnt = {}
             for k in held:
-                for j in structure.members_sorted(k):
+                for j in structure.communities[k]:
                     if j != agent:
                         cnt[j] = cnt.get(j, 0) + 1
             self.row = ctx.kernel_row(agent)
@@ -261,8 +266,10 @@ class _MoveScorer:
             if self.similarity:
                 agent, cnt, row = self.agent, self.cnt, self.row
                 covered = 1 if k in self.held else 0
-                raw = sum(row[j] for j in self.structure.members_sorted(k)
-                          if j != agent and cnt.get(j, 0) == covered)
+                raw = 0.0  # not sum(), as in contrib_similarity
+                for j in self.structure.communities[k]:
+                    if j != agent and cnt.get(j, 0) == covered:
+                        raw += row[j]
             else:
                 raw = _contrib(self.ctx, self.agent, k, self.structure, "modularity")
             self.raw[k] = raw
@@ -283,7 +290,7 @@ class _MoveScorer:
         memberships = self.structure.memberships
         lost = self._raw_gain(k_out)
         gained = 0.0
-        for j in self.structure.members_sorted(k_in):
+        for j in self.structure.communities[k_in]:
             if j == agent:
                 continue
             covered = cnt.get(j, 0) - (1 if k_out in memberships[j] else 0)

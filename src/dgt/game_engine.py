@@ -187,13 +187,6 @@ class CommunityStructure:
         else:
             raise PreconditionError(f"unknown action {action!r}")
 
-    def labels(self, agent: int) -> set[int]:
-        return self.memberships.get(agent, set())
-
-    def members_sorted(self, community: int) -> list[int]:
-        """Members of one community in ascending id order."""
-        return self.communities[community]
-
     def membership_snapshot(self) -> dict[int, frozenset]:
         return {v: frozenset(ks) for v, ks in self.memberships.items()}
 
@@ -230,11 +223,6 @@ class CommunityStructure:
             f"CommunityStructure({len(self.communities)} communities, "
             f"{len(self.memberships)} agents)"
         )
-
-
-def audit(structure: CommunityStructure) -> list[str]:
-    """Verify the bimap invariant and absence of empty communities."""
-    return structure.audit()
 
 
 @dataclass

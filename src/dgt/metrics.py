@@ -10,6 +10,16 @@ from .errors import EmptyGraphError, MetricsError
 from .snapshot_graph import SnapshotGraph
 
 
+def _sum_floats(values) -> float:
+    """Left-to-right sum from 0.0.  The builtin sum() of floats is
+    compensated from Python 3.12 on, so it would make output bytes depend
+    on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def nmi(x: dict, y: dict) -> float:
     """Normalized mutual information between two partitions of one node set.
 
@@ -32,8 +42,8 @@ def nmi(x: dict, y: dict) -> float:
     cx = Counter(x[v] for v in nodes)
     cy = Counter(y[v] for v in nodes)
 
-    hx = -sum((c / total) * math.log(c / total) for c in cx.values())
-    hy = -sum((c / total) * math.log(c / total) for c in cy.values())
+    hx = -_sum_floats((c / total) * math.log(c / total) for c in cx.values())
+    hy = -_sum_floats((c / total) * math.log(c / total) for c in cy.values())
     if hx == 0.0 and hy == 0.0:
         return 1.0
     if hx == 0.0 or hy == 0.0:
@@ -123,10 +133,10 @@ def count_error(predicted, actual) -> int:
 def _mean_std(values) -> tuple[float, float]:
     values = [float(v) for v in values]
     n = len(values)
-    mean = sum(values) / n
+    mean = _sum_floats(values) / n
     if n < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = _sum_floats((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
 
 

@@ -25,8 +25,10 @@ Label = object  # external node labels may be any hashable (str, int, ...)
 class SnapshotGraph:
     """One directed snapshot: no self-edges, no duplicate edges.
 
-    Immutable after construction; adjacency is kept both ways so that
-    in-degree and out-degree queries are O(1) and neighbor scans are cheap.
+    Immutable after construction.  The graph is its two adjacency maps:
+    `out_adj[i]` and `in_adj[i]` are the ascending targets and sources of
+    node i.  Every node of the snapshot, an isolated one included, is a
+    key of both maps, so `i in out_adj` tests membership.
     """
 
     __slots__ = (
@@ -37,7 +39,6 @@ class SnapshotGraph:
         "n",
         "m",
         "max_node",
-        "_node_set",
     )
 
     def __init__(self, index_t: int, nodes: tuple[int, ...], out_adj: dict, in_adj: dict):
@@ -48,7 +49,6 @@ class SnapshotGraph:
         self.n = len(nodes)
         self.m = sum(len(js) for js in out_adj.values())
         self.max_node = max(nodes) if nodes else -1
-        self._node_set = frozenset(nodes)
 
     @classmethod
     def from_edges(cls, edges, index_t: int = 0, nodes=()) -> "SnapshotGraph":
@@ -57,37 +57,22 @@ class SnapshotGraph:
         Duplicate edges collapse to one; self-edges are rejected.  `nodes`
         may declare additional (possibly isolated) node ids.
         """
-        edge_set = set()
+        outs: defaultdict[int, list[int]] = defaultdict(list)
+        ins: defaultdict[int, list[int]] = defaultdict(list)
         for i, j in edges:
             if i == j:
                 raise PreconditionError(f"self-edge on node {i} is not allowed")
-            edge_set.add((i, j))
-        node_ids = set(nodes)
-        for i, j in edge_set:
-            node_ids.add(i)
-            node_ids.add(j)
+            outs[i].append(j)
+            ins[j].append(i)
+        node_ids = tuple(sorted(outs.keys() | ins.keys() | set(nodes)))
         if not node_ids:
             raise PreconditionError("a snapshot must contain at least one node")
-        out_adj = {v: [] for v in node_ids}
-        in_adj = {v: [] for v in node_ids}
-        for i, j in edge_set:
-            out_adj[i].append(j)
-            in_adj[j].append(i)
-        out_adj = {v: tuple(sorted(js)) for v, js in out_adj.items()}
-        in_adj = {v: tuple(sorted(js)) for v, js in in_adj.items()}
-        return cls(index_t, tuple(sorted(node_ids)), out_adj, in_adj)
+        out_adj = {v: tuple(sorted(set(outs.pop(v, ())))) for v in node_ids}
+        in_adj = {v: tuple(sorted(set(ins.pop(v, ())))) for v in node_ids}
+        return cls(index_t, node_ids, out_adj, in_adj)
 
     def has_node(self, i: int) -> bool:
-        return i in self._node_set
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.out_adj.get(i, ())
-
-    def degree_out(self, i: int) -> int:
-        return len(self.out_adj[i])
-
-    def degree_in(self, i: int) -> int:
-        return len(self.in_adj[i])
+        return i in self.out_adj
 
     def edge_set(self) -> frozenset:
         """Every (source, target) pair, built anew on each call."""
@@ -122,14 +107,6 @@ class SnapshotSequence:
     @property
     def num_snapshots(self) -> int:
         return len(self.snapshots)
-
-    @property
-    def node_universe(self) -> int:
-        """Count of distinct node ids across all snapshots."""
-        return len(self.id_to_label)
-
-    def id_of(self, label) -> int:
-        return self.label_to_id[label]
 
     def label_of(self, node_id: int):
         return self.id_to_label[node_id]
@@ -359,16 +336,28 @@ def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
 def write_edge_list(seq: SnapshotSequence, path) -> None:
     """Serialize a sequence back to the edge-list text format.
 
-    Raises FormatError, before the file is opened, on a label that would
-    not read back as itself: an empty one, one starting with `#` (the line
-    would read as a comment) or one holding whitespace (the format is
-    whitespace-separated).
+    Raises FormatError, before the file is opened, on a node that would
+    not read back as itself: a label that is empty, starts with `#` (the
+    line would read as a comment) or holds whitespace (the format is
+    whitespace-separated); two labels with the same text (they would read
+    back as one node); and a node with no edge in its snapshot (the format
+    holds only edges).
     """
+    texts = set()
     for label in seq.id_to_label:
         text = str(label)
         if text.split() != [text] or text.startswith("#"):
             raise FormatError(f"label {text!r} cannot be written to an edge list: "
                               "it is empty, starts with '#' or holds whitespace")
+        if text in texts:
+            raise FormatError(f"two labels are written as {text!r}: "
+                              "they would read back as one node")
+        texts.add(text)
+    for g in seq.snapshots:
+        for v in g.nodes:
+            if not g.out_adj[v] and not g.in_adj[v]:
+                raise FormatError(f"node {seq.label_of(v)!r} has no edge in snapshot "
+                                  f"{g.index_t}: an edge list cannot hold it")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for g in seq.snapshots:
             for i in g.nodes:

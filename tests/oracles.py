@@ -3,8 +3,9 @@
 Everything here is written directly from the defining formulas with plain
 loops and set algebra, deliberately sharing no code with the library's
 computation paths (only the graph container is reused for adjacency
-access).  The edge-list parser and loader oracles are the earlier two-pass
-implementations, kept as the reference for the streaming loader.
+access).  The snapshot builder, edge-list parser and loader oracles are
+the earlier two-pass implementations, kept as the reference for the
+one-pass code.
 """
 
 from __future__ import annotations
@@ -167,6 +168,30 @@ def common_neighbors(g: SnapshotGraph, i: int, j: int) -> int:
     if not g.has_node(i) or not g.has_node(j):
         raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
     return len(set(g.out_adj[i]) & set(g.out_adj[j]))
+
+
+def from_edges_oracle(edges, index_t: int = 0, nodes=()) -> SnapshotGraph:
+    """The set-of-pairs snapshot builder: every pair goes into one set
+    before either adjacency map is filled."""
+    edge_set = set()
+    for i, j in edges:
+        if i == j:
+            raise PreconditionError(f"self-edge on node {i} is not allowed")
+        edge_set.add((i, j))
+    node_ids = set(nodes)
+    for i, j in edge_set:
+        node_ids.add(i)
+        node_ids.add(j)
+    if not node_ids:
+        raise PreconditionError("a snapshot must contain at least one node")
+    out_adj = {v: [] for v in node_ids}
+    in_adj = {v: [] for v in node_ids}
+    for i, j in edge_set:
+        out_adj[i].append(j)
+        in_adj[j].append(i)
+    out_adj = {v: tuple(sorted(js)) for v, js in out_adj.items()}
+    in_adj = {v: tuple(sorted(js)) for v, js in in_adj.items()}
+    return SnapshotGraph(index_t, tuple(sorted(node_ids)), out_adj, in_adj)
 
 
 def parse_edge_file_oracle(path, snapshot_by: str = "column"):

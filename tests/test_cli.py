@@ -1,11 +1,15 @@
+import builtins
 import csv
 import hashlib
+import importlib
 import logging
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import dgt
 from dgt import cli
 from dgt.errors import AuditError
 from dgt.initialization import write_ground_truth
@@ -197,6 +201,36 @@ class TestRun:
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 2
+
+
+def _sum_without_floats(values, start=0):
+    values = list(values)
+    if any(isinstance(v, float) for v in [start, *values]):
+        raise AssertionError("sum() of floats rounds differently from Python 3.12 on")
+    return builtins.sum(values, start)
+
+
+class TestFloatSums:
+    """Output bytes must not depend on the Python version, so no float goes
+    through the builtin sum()."""
+
+    @pytest.fixture(autouse=True)
+    def shadow_sum(self, monkeypatch):
+        for info in pkgutil.iter_modules(dgt.__path__):
+            module = importlib.import_module(f"dgt.{info.name}")
+            monkeypatch.setattr(module, "sum", _sum_without_floats, raising=False)
+        monkeypatch.setattr(dgt, "sum", _sum_without_floats, raising=False)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--variant", "dgt", "--gain", "similarity", "--diagnostics"],
+        ["run", "--variant", "dgt", "--gain", "modularity", "--undirected"],
+        ["sweep-seed-fraction", "--variant", "dgtg", "--fractions", "0,0.2"],
+    ], ids=["similarity", "modularity", "sweep"])
+    def test_commands_sum_no_float_with_the_builtin(self, data_dir, tmp_path, argv):
+        rc = cli.main([*argv, "--input", str(data_dir / "edges.txt"),
+                       "--truth", str(data_dir / "truth.csv"), "--repetitions", "2",
+                       "--seed", "4", "--out", str(tmp_path / "out")])
+        assert rc == 0
 
 
 class TestDeterminism:

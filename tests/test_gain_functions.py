@@ -88,7 +88,7 @@ class TestSimilarityKernel:
                 for j in g.nodes:
                     if i == j:
                         continue
-                    adjacent = g.has_edge(i, j)
+                    adjacent = j in g.out_adj[i]
                     w = len(set(g.out_adj[i]) & set(g.out_adj[j]))
                     seen.add((adjacent, w >= 1))
                     similarity(ctx, i, j)

@@ -13,7 +13,6 @@ from dgt.game_engine import (
     Leave,
     NoOp,
     Switch,
-    audit,
     best_response,
     is_local_equilibrium,
     potential,
@@ -65,14 +64,14 @@ class TestCommunityStructure:
     def test_audit_reports_corruption(self):
         st = CommunityStructure.from_singletons([0, 1])
         st.memberships[0].add(1)  # label without membership
-        report = audit(st)
+        report = st.audit()
         assert len(report) == 1
         assert "agent 0" in report[0] and "1" in report[0]
 
     def test_audit_reports_empty_community(self):
         st = CommunityStructure.from_singletons([0])
         st.communities[0].clear()
-        assert any("empty" in p for p in audit(st))
+        assert any("empty" in p for p in st.audit())
 
     @pytest.mark.parametrize("corrupt, reported", [
         (lambda st: st.memberships[2].add(0), "agent 2 holds label 0 but is not a member"),
@@ -84,9 +83,9 @@ class TestCommunityStructure:
     def test_audit_reports_each_corruption(self, corrupt, reported):
         st = CommunityStructure.from_singletons([0, 1, 2])
         st.join(1, 0)
-        assert audit(st) == []
+        assert st.audit() == []
         corrupt(st)
-        assert any(reported in p for p in audit(st))
+        assert any(reported in p for p in st.audit())
 
     def test_copy_is_independent(self):
         st = CommunityStructure.from_singletons([0, 1])
@@ -102,7 +101,7 @@ class TestCommunityStructure:
         st = CommunityStructure.from_singletons([0, 1, 2])
         st.join(2, 0)
         st.join(1, 0)
-        assert st.members_sorted(0) == [0, 1, 2]
+        assert st.communities[0] == [0, 1, 2]
 
 
 class TestGameConfig:

@@ -176,8 +176,8 @@ class TestGroundTruthIO:
     def test_round_trip(self, tmp_path):
         seq = load_edge_stream([("a", "b", 0), ("b", "c", 1)])
         truth = GroundTruth(by_snapshot={
-            0: {seq.id_of("a"): "red", seq.id_of("b"): "blue"},
-            1: {seq.id_of("c"): "red"},
+            0: {seq.label_to_id["a"]: "red", seq.label_to_id["b"]: "blue"},
+            1: {seq.label_to_id["c"]: "red"},
         })
         path = tmp_path / "truth.csv"
         write_ground_truth(truth, seq, path)

@@ -23,6 +23,7 @@ from dgt.game_engine import (
 from dgt.snapshot_graph import SnapshotGraph, load_edge_stream, read_edge_list, write_edge_list
 
 from oracles import (
+    from_edges_oracle,
     load_edge_stream_oracle,
     parse_edge_file_oracle,
     similarity_oracle,
@@ -128,7 +129,7 @@ def _structure_state(structure):
         structure.next_id,
         {k: sorted(vs) for k, vs in structure.communities.items()},
         {v: sorted(ks) for v, ks in structure.memberships.items()},
-        {k: list(structure.members_sorted(k)) for k in structure.communities},
+        {k: list(structure.communities[k]) for k in structure.communities},
     )
 
 
@@ -198,6 +199,34 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+@st.composite
+def id_pairs(draw) -> list[tuple[int, int]]:
+    """(source, target) id pairs with duplicates and, in some lists, one
+    or two self-edges anywhere."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                          .filter(lambda p: p[0] != p[1])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        v = draw(st.integers(0, 6))
+        pairs.insert(draw(st.integers(0, len(pairs))), (v, v))
+    return pairs
+
+
+@PROPERTY_SETTINGS
+@given(edges=id_pairs(), nodes=st.lists(st.integers(0, 9), max_size=4))
+def test_from_edges_equals_set_of_pairs_oracle(edges, nodes):
+    built = _outcome(lambda: SnapshotGraph.from_edges(edges, index_t=1, nodes=nodes))
+    reference = _outcome(lambda: from_edges_oracle(edges, index_t=1, nodes=nodes))
+    if isinstance(reference, tuple):
+        assert built == reference
+        return
+    for name in ("index_t", "nodes", "out_adj", "in_adj", "n", "m", "max_node"):
+        assert getattr(built, name) == getattr(reference, name), name
+    # every node, an isolated one included, is a key of both maps
+    assert list(built.out_adj) == list(built.in_adj) == list(built.nodes)
+    ids = range(-1, reference.max_node + 2)
+    assert [built.has_node(v) for v in ids] == [v in reference.nodes for v in ids]
+
+
 @pytest.fixture(scope="module")
 def scratch_dir():
     with tempfile.TemporaryDirectory() as tmp:
@@ -233,13 +262,14 @@ UNWRITABLE_LABELS = ["#a", "a b", ""]
 
 @PROPERTY_SETTINGS
 @given(records=st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c", "7", "x#"] + UNWRITABLE_LABELS),
-              st.sampled_from(["a", "b", "c", "7"] + UNWRITABLE_LABELS),
+    st.tuples(st.sampled_from(["a", "b", "c", "7", 7, "x#"] + UNWRITABLE_LABELS),
+              st.sampled_from(["a", "b", "c", "7", 7] + UNWRITABLE_LABELS),
               st.integers(0, 3)).filter(lambda r: r[0] != r[1]),
     min_size=1))
 def test_write_then_read_keeps_every_labeled_edge(scratch_file, records):
     seq = load_edge_stream(records)
-    if set(seq.id_to_label) & set(UNWRITABLE_LABELS):
+    texts = [str(label) for label in seq.id_to_label]
+    if set(seq.id_to_label) & set(UNWRITABLE_LABELS) or len(set(texts)) < len(texts):
         with pytest.raises(FormatError):
             write_edge_list(seq, scratch_file)
         return
@@ -249,9 +279,9 @@ def test_write_then_read_keeps_every_labeled_edge(scratch_file, records):
     assert (reloaded.self_edges_dropped, reloaded.duplicates_collapsed) == (0, 0)
     for g1, g2 in zip(seq.snapshots, reloaded.snapshots):
         assert g2.index_t == g1.index_t
-        assert ({(seq.label_of(i), seq.label_of(j)) for i, j in g1.edge_set()}
+        assert ({(str(seq.label_of(i)), str(seq.label_of(j))) for i, j in g1.edge_set()}
                 == {(reloaded.label_of(i), reloaded.label_of(j)) for i, j in g2.edge_set()})
-        assert {seq.label_of(v) for v in g1.nodes} == {reloaded.label_of(v) for v in g2.nodes}
+        assert {str(seq.label_of(v)) for v in g1.nodes} == {reloaded.label_of(v) for v in g2.nodes}
 
 
 # (valid lines, faulty lines) of the edge, node and truth files

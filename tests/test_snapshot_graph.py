@@ -93,8 +93,8 @@ class TestLoadEdgeStream:
 
     def test_ids_stable_across_snapshots(self):
         seq = load_edge_stream([("x", "y", 0), ("y", "x", 1), ("z", "x", 1)])
-        assert seq.id_of("x") == 0 and seq.id_of("y") == 1 and seq.id_of("z") == 2
-        assert seq.node_universe == 3
+        assert seq.label_to_id == {"x": 0, "y": 1, "z": 2}
+        assert len(seq.id_to_label) == 3
         assert seq.snapshots[0].n == 2 and seq.snapshots[1].n == 3
 
     def test_snapshot_of_only_self_edges_rejected(self):
@@ -105,13 +105,13 @@ class TestLoadEdgeStream:
         seq = load_edge_stream([("a", "b", 0)], extra_nodes=[("ghost", 0)])
         g = seq.snapshots[0]
         assert g.n == 3 and g.m == 1
-        assert g.degree_out(seq.id_of("ghost")) == 0
+        assert g.out_adj[seq.label_to_id["ghost"]] == ()
 
     def test_undirected_mode(self):
         seq = load_edge_stream([("a", "b", 0)], undirected=True)
         g = seq.snapshots[0]
         assert g.m == 2
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert g.out_adj == {0: (1,), 1: (0,)}
 
     def test_integer_labels(self):
         seq = load_edge_stream([(5, 9, 0)])
@@ -127,8 +127,8 @@ class TestGraphInvariants:
         rng = np.random.default_rng(0)
         for _ in range(20):
             g = random_digraph(rng, 20)
-            assert sum(g.degree_out(v) for v in g.nodes) == g.m
-            assert sum(g.degree_in(v) for v in g.nodes) == g.m
+            assert sum(len(g.out_adj[v]) for v in g.nodes) == g.m
+            assert sum(len(g.in_adj[v]) for v in g.nodes) == g.m
 
     def test_adjacency_consistency(self):
         rng = np.random.default_rng(1)
@@ -216,6 +216,13 @@ class TestRoundTrip:
             assert labeled1 == labeled2
             assert (g1.n, g1.m) == (g2.n, g2.m)
 
+    def test_isolated_node_rejected_before_writing(self, tmp_path):
+        seq = load_edge_stream([("a", "b", 0), ("b", "a", 1)], extra_nodes=[("ghost", 1)])
+        path = tmp_path / "edges.txt"
+        with pytest.raises(FormatError, match="'ghost' has no edge in snapshot 1"):
+            write_edge_list(seq, path)
+        assert not path.exists()
+
 
 class TestEdgeFileParsing:
     def test_comments_and_columns(self, tmp_path):
@@ -291,6 +298,20 @@ class TestEdgeFileParsing:
         # about 100 B per edge: adjacency both ways plus the node and label
         # maps; a frozenset of each node's out-neighbours adds about 110 more
         assert size <= 150 * edges
+
+    def test_loaded_size_and_loader_peak_per_edge(self, random_edge_file):
+        tracemalloc.start()
+        try:
+            seq = read_edge_list(random_edge_file)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        edges = sum(g.m for g in seq.snapshots)
+        # measured 72 B per edge held and 136 B at the peak; a frozenset of
+        # the node ids per snapshot, and a second set of pairs built before
+        # the adjacency maps, raise them to 102 and 172
+        assert size <= 85 * edges
+        assert peak <= 150 * edges
 
     def test_node_file(self, tmp_path):
         path = tmp_path / "nodes.txt"
