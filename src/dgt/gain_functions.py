@@ -28,9 +28,11 @@ gains are normalized by the snapshot edge count, as is the loss (one unit
 per held label), so utilities of different snapshots live on comparable
 scales.
 
-`_MoveScorer` is the only place where move deltas (join, leave, switch)
-are computed: the game engine's best response and `utility_delta` both
-call it.
+`_MoveScorer` is the only code that sums a gain: an agent's total gain,
+one community's contribution, and the deltas of its join, leave and
+switch moves.  The public gain functions, `utility_delta` and the game
+engine all call it.  The move types live here because `utility_delta`
+dispatches on them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,42 @@ from .errors import EmptyGraphError, PreconditionError
 from .snapshot_graph import SnapshotGraph
 
 GAIN_KINDS = ("similarity", "modularity")
+
+
+@dataclass(frozen=True)
+class Join:
+    community: int
+
+
+@dataclass(frozen=True)
+class Leave:
+    community: int
+
+
+@dataclass(frozen=True)
+class Switch:
+    out_community: int
+    in_community: int
+
+
+@dataclass(frozen=True)
+class NoOp:
+    pass
+
+
+NOOP = NoOp()
+
+Action = Join | Leave | Switch | NoOp
+
+
+def action_kind(action: Action) -> str:
+    if isinstance(action, Join):
+        return "join"
+    if isinstance(action, Leave):
+        return "leave"
+    if isinstance(action, Switch):
+        return "switch"
+    return "noop"
 
 
 class _KernelRow(dict):
@@ -116,34 +154,6 @@ class GainContext:
                 row[j] = wj / self.n
         return row
 
-    def contrib_similarity(self, agent: int, members) -> float:
-        """Raw similarity contribution of one community: sum of the kernel
-        over co-members (multiply by 1/m to get the gain share)."""
-        row = self.kernel_row(agent)
-        # not sum(): its float rounding changed in Python 3.12
-        total = 0.0
-        for j in members:
-            if j != agent:
-                total += row[j]
-        return total
-
-    def contrib_modularity(self, agent: int, members, memberships) -> float:
-        """Raw modularity contribution of one community: each co-member j
-        adds A[agent][j]*|labels(j)| minus the degree null model share
-        (multiply by 1/(2m) to get the gain share)."""
-        out = self.graph.out_adj[agent]
-        d_in_agent = self.d_in[agent]
-        total = 0.0
-        for j in members:
-            if j == agent:
-                continue
-            null = (d_in_agent * self.d_out[j]) / self.twom
-            if j in out:
-                total += len(memberships[j]) - null
-            else:
-                total -= null
-        return total
-
 
 @dataclass(frozen=True)
 class UtilityBreakdown:
@@ -178,25 +188,13 @@ def gain_similarity(ctx: GainContext, agent: int, labels, structure) -> float:
     counts once; holding overlapping communities pays only for the members
     they add."""
     _check_labels(labels, structure)
-    row = ctx.kernel_row(agent)
-    seen: set[int] = set()
-    total = 0.0
-    for k in sorted(labels):
-        for j in structure.communities[k]:
-            if j != agent and j not in seen:
-                seen.add(j)
-                total += row[j]
-    return total / ctx.m
+    return _MoveScorer(ctx, agent, structure, "similarity", labels).total()
 
 
 def gain_modularity(ctx: GainContext, agent: int, labels, structure) -> float:
     """Personalized modularity gain, normalized by 1/(2m)."""
     _check_labels(labels, structure)
-    memberships = structure.memberships
-    total = 0.0
-    for k in sorted(labels):
-        total += ctx.contrib_modularity(agent, structure.communities[k], memberships)
-    return total / ctx.twom
+    return _MoveScorer(ctx, agent, structure, "modularity", labels).total()
 
 
 def loss(ctx: GainContext, labels) -> float:
@@ -208,37 +206,32 @@ def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "simila
     """Gain-minus-loss breakdown for an agent holding `labels`."""
     if gain not in GAIN_KINDS:
         raise PreconditionError(f"gain must be one of {GAIN_KINDS}, got {gain!r}")
-    if gain == "similarity":
-        g = gain_similarity(ctx, agent, labels, structure)
-    else:
-        g = gain_modularity(ctx, agent, labels, structure)
+    _check_labels(labels, structure)
+    g = _MoveScorer(ctx, agent, structure, gain, labels).total()
     return UtilityBreakdown(gain=g, loss=loss(ctx, labels))
 
 
-def _contrib(ctx: GainContext, agent: int, community_id: int, structure, gain: str) -> float:
-    members = structure.communities[community_id]
-    if gain == "similarity":
-        return ctx.contrib_similarity(agent, members)
-    return ctx.contrib_modularity(agent, members, structure.memberships)
-
-
 class _MoveScorer:
-    """Utility changes of one agent's join, leave and switch moves against
-    the current structure; the only place move deltas are computed.
+    """One agent's gain against the current structure: its total, each held
+    community's contribution, and the utility changes of its join, leave
+    and switch moves.  The only code that sums a gain.
 
-    Built once per agent turn, so the coverage counts and the loss terms
-    are computed once; each community's raw gain is memoized, so a switch
-    reuses the values its two legs already computed.
+    `held` defaults to the agent's own labels.  Built once per agent turn,
+    so the coverage counts and the loss terms are computed once; each
+    community's raw gain is memoized, so a switch reuses the values its
+    two legs already computed.
     """
 
     __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
                  "join_loss", "leave_loss", "cnt", "row", "raw")
 
-    def __init__(self, ctx: GainContext, agent: int, structure, gain: str):
+    def __init__(self, ctx: GainContext, agent: int, structure, gain: str, held=None):
         self.ctx = ctx
         self.agent = agent
         self.structure = structure
-        self.held = held = structure.memberships.get(agent, frozenset())
+        if held is None:
+            held = structure.memberships.get(agent, frozenset())
+        self.held = held
         n_labels = len(held)
         m = ctx.m
         self.join_loss = (n_labels + 1) / m - n_labels / m
@@ -246,9 +239,10 @@ class _MoveScorer:
         self.similarity = gain == "similarity"
         if self.similarity:
             self.norm = m
-            # cnt[j]: how many held communities contain co-member j
+            # cnt[j]: how many held communities contain co-member j, keyed
+            # in first-seen order over ascending labels and members
             self.cnt = cnt = {}
-            for k in held:
+            for k in sorted(held):
                 for j in structure.communities[k]:
                     if j != agent:
                         cnt[j] = cnt.get(j, 0) + 1
@@ -257,21 +251,61 @@ class _MoveScorer:
             self.norm = ctx.twom
         self.raw: dict[int, float] = {}
 
+    def total(self) -> float:
+        """The normalized gain over the held labels.  Similarity: the kernel
+        summed once over each co-member.  Modularity: each held community's
+        raw gain, in ascending label order."""
+        # not sum(): its float rounding changed in Python 3.12
+        total = 0.0
+        if self.similarity:
+            row = self.row
+            for j in self.cnt:
+                total += row[j]
+        else:
+            for k in sorted(self.held):
+                total += self._raw_gain(k)
+        return total / self.norm
+
+    def contribution(self, k: int) -> float:
+        """Raw gain of held community k taken alone (divide by the gain's
+        norm to get its share)."""
+        if not self.similarity:
+            return self._raw_gain(k)
+        agent, row = self.agent, self.row
+        raw = 0.0
+        for j in self.structure.communities[k]:
+            if j != agent:
+                raw += row[j]
+        return raw
+
     def _raw_gain(self, k: int) -> float:
         """Similarity: kernel sum over the members a join of k would add
         (covered by no held community) or a leave of k would drop (covered
-        by k alone).  Modularity: the community's raw contribution."""
+        by k alone).  Modularity: each co-member j of k adds
+        A[agent][j]*|labels(j)| minus the degree null model share."""
         raw = self.raw.get(k)
         if raw is None:
+            agent = self.agent
+            raw = 0.0
             if self.similarity:
-                agent, cnt, row = self.agent, self.cnt, self.row
+                cnt, row = self.cnt, self.row
                 covered = 1 if k in self.held else 0
-                raw = 0.0  # not sum(), as in contrib_similarity
                 for j in self.structure.communities[k]:
                     if j != agent and cnt.get(j, 0) == covered:
                         raw += row[j]
             else:
-                raw = _contrib(self.ctx, self.agent, k, self.structure, "modularity")
+                ctx = self.ctx
+                out = ctx.graph.out_adj[agent]
+                memberships = self.structure.memberships
+                d_in_agent, d_out, twom = ctx.d_in[agent], ctx.d_out, ctx.twom
+                for j in self.structure.communities[k]:
+                    if j == agent:
+                        continue
+                    null = (d_in_agent * d_out[j]) / twom
+                    if j in out:
+                        raw += len(memberships[j]) - null
+                    else:
+                        raw -= null
             self.raw[k] = raw
         return raw
 
@@ -307,8 +341,6 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
     similarity gain only genuinely new (or exclusively held) co-members
     move the gain, mirroring its union-of-co-members definition.
     """
-    from .game_engine import Join, Leave, NoOp, Switch  # local to avoid cycle
-
     if gain not in GAIN_KINDS:
         raise PreconditionError(f"gain must be one of {GAIN_KINDS}, got {gain!r}")
     held = structure.memberships.get(agent, frozenset())

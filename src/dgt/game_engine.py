@@ -20,49 +20,17 @@ import numpy as np
 from .errors import AuditError, ConfigError, PreconditionError
 from .gain_functions import (
     GAIN_KINDS,
+    NOOP,
+    Action,
     GainContext,
-    _contrib,
+    Join,
+    Leave,
+    NoOp,
+    Switch,
     _MoveScorer,
-    gain_modularity,
-    gain_similarity,
+    action_kind,
 )
 from .snapshot_graph import SnapshotGraph
-
-
-@dataclass(frozen=True)
-class Join:
-    community: int
-
-
-@dataclass(frozen=True)
-class Leave:
-    community: int
-
-
-@dataclass(frozen=True)
-class Switch:
-    out_community: int
-    in_community: int
-
-
-@dataclass(frozen=True)
-class NoOp:
-    pass
-
-
-NOOP = NoOp()
-
-Action = Join | Leave | Switch | NoOp
-
-
-def action_kind(action: Action) -> str:
-    if isinstance(action, Join):
-        return "join"
-    if isinstance(action, Leave):
-        return "leave"
-    if isinstance(action, Switch):
-        return "switch"
-    return "noop"
 
 
 @dataclass(frozen=True)
@@ -78,7 +46,6 @@ class GameConfig:
     max_passes: int = 8
     change_fraction_threshold: float = 0.05
     rng_seed: int = 0
-    allow_switch: bool = True
 
     def __post_init__(self):
         if self.gain not in GAIN_KINDS:
@@ -242,7 +209,6 @@ class SnapshotResult:
     games_played: int = 0
     max_candidates: int = 0
     memberships: dict[int, frozenset] = field(default_factory=dict)
-    next_id: int = 0
 
 
 def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStructure, held) -> list[int]:
@@ -280,22 +246,23 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
         if best_leave is None or delta > best_leave[0]:
             best_leave = (delta, k)
 
-    candidates: list[tuple[float, int, int, Action]] = []
-    # key: (delta, kind rank, -community id); ties prefer switch > join >
-    # leave, then the lowest community id.
+    # key: (delta, kind rank); ties prefer switch > join > leave.  Each kind
+    # appears at most once, and the strict `>` over ascending ids above
+    # already kept the lowest community id among equal joins or leaves.
+    candidates: list[tuple[float, int, Action]] = []
     if best_join is not None:
-        candidates.append((best_join[0], _KIND_RANK["join"], -best_join[1], Join(best_join[1])))
+        candidates.append((best_join[0], _KIND_RANK["join"], Join(best_join[1])))
     if best_leave is not None:
-        candidates.append((best_leave[0], _KIND_RANK["leave"], -best_leave[1], Leave(best_leave[1])))
-    if config.allow_switch and best_join is not None and best_leave is not None:
-        switch = Switch(best_leave[1], best_join[1])
-        delta = score.switch(best_leave[1], best_join[1])
-        candidates.append((delta, _KIND_RANK["switch"], -switch.in_community, switch))
+        candidates.append((best_leave[0], _KIND_RANK["leave"], Leave(best_leave[1])))
+        if best_join is not None:
+            delta = score.switch(best_leave[1], best_join[1])
+            candidates.append((delta, _KIND_RANK["switch"], Switch(best_leave[1], best_join[1])))
 
-    considered = len(join_ids) + len(held) + 1 + (1 if config.allow_switch else 0)
+    # every join and leave, the no-op and the one switch
+    considered = len(join_ids) + len(held) + 2
     if not candidates:
         return NOOP, 0.0, considered
-    delta, _, _, action = max(candidates)
+    delta, _, action = max(candidates)
     if delta <= 0.0:
         return NOOP, 0.0, considered
     return action, delta, considered
@@ -312,25 +279,21 @@ def best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
 
 def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) -> tuple[float, float]:
     """(total gain, total loss) over all agents."""
-    gain_of = gain_similarity if gain == "similarity" else gain_modularity
     total_gain = 0.0
     total_loss = 0.0
     m = ctx.m
     for agent in agents:
-        held = structure.memberships.get(agent, ())
-        total_gain += gain_of(ctx, agent, held, structure)
-        total_loss += len(held) / m
+        score = _MoveScorer(ctx, agent, structure, gain)
+        total_gain += score.total()
+        total_loss += len(score.held) / m
     return total_gain, total_loss
 
 
-def potential(ctx: GainContext, structure: CommunityStructure, rho_g: float,
-              rho_l: float, gain: str = "similarity") -> float:
-    """Weighted loss-minus-gain aggregate over all agents, a diagnostic
-    for tracking the game's global progress."""
-    if rho_g <= 0 or rho_l <= 0:
-        raise PreconditionError("rho_g and rho_l must be positive")
+def potential(ctx: GainContext, structure: CommunityStructure, gain: str = "similarity") -> float:
+    """Total loss minus total gain over all agents, a diagnostic for
+    tracking the game's global progress."""
     total_gain, total_loss = _totals(ctx, ctx.graph.nodes, structure, gain)
-    return rho_l * total_loss - rho_g * total_gain
+    return total_loss - total_gain
 
 
 def is_local_equilibrium(ctx: GainContext, structure: CommunityStructure,
@@ -343,22 +306,20 @@ def is_local_equilibrium(ctx: GainContext, structure: CommunityStructure,
 
 
 def _hard_assignment(ctx: GainContext, structure: CommunityStructure, gain: str) -> dict[int, int]:
-    """Collapse each agent to its single highest-contribution community;
-    agents holding no labels get a fresh singleton id."""
+    """Collapse each agent to its single highest-contribution community,
+    the lowest id among ties; agents holding no labels get a fresh
+    singleton id."""
     partition: dict[int, int] = {}
     for agent in ctx.graph.nodes:
-        held = structure.memberships.get(agent, set())
+        held = structure.memberships.get(agent, ())
         if not held:
             partition[agent] = structure.fresh_id()
-            continue
-        best_k = None
-        best_raw = 0.0
-        for k in sorted(held):
-            raw = _contrib(ctx, agent, k, structure, gain)
-            if best_k is None or raw > best_raw:
-                best_k = k
-                best_raw = raw
-        partition[agent] = best_k
+        elif len(held) == 1:
+            (partition[agent],) = held
+        else:
+            # max() keeps the first of equal keys, so the lowest id
+            score = _MoveScorer(ctx, agent, structure, gain)
+            partition[agent] = max(sorted(held), key=score.contribution)
     return partition
 
 
@@ -430,6 +391,5 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
         games_played=games_played,
         max_candidates=max_candidates,
         memberships=structure.membership_snapshot(),
-        next_id=structure.next_id,
     )
     return structure, result

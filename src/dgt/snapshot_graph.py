@@ -54,8 +54,9 @@ class SnapshotGraph:
     def from_edges(cls, edges, index_t: int = 0, nodes=()) -> "SnapshotGraph":
         """Build a snapshot from (source, target) integer id pairs.
 
-        Duplicate edges collapse to one; self-edges are rejected.  `nodes`
-        may declare additional (possibly isolated) node ids.
+        Duplicate edges collapse to one; self-edges and negative ids are
+        rejected.  `nodes` may declare additional (possibly isolated) node
+        ids.
         """
         outs: defaultdict[int, list[int]] = defaultdict(list)
         ins: defaultdict[int, list[int]] = defaultdict(list)
@@ -67,6 +68,8 @@ class SnapshotGraph:
         node_ids = tuple(sorted(outs.keys() | ins.keys() | set(nodes)))
         if not node_ids:
             raise PreconditionError("a snapshot must contain at least one node")
+        if node_ids[0] < 0:
+            raise PreconditionError(f"node id {node_ids[0]} is negative")
         out_adj = {v: tuple(sorted(set(outs.pop(v, ())))) for v in node_ids}
         in_adj = {v: tuple(sorted(set(ins.pop(v, ())))) for v in node_ids}
         return cls(index_t, node_ids, out_adj, in_adj)

@@ -71,6 +71,32 @@ def utility_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
     return benefit - len(labels) / g.m
 
 
+def contribution_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
+                        agent: int, k: int, gain: str) -> float:
+    """Raw gain of community k taken alone, not divided by m or 2m.
+
+    Similarity: the kernel summed over k's co-members.  Modularity: the
+    triple sum restricted to k, whose sum over a co-member's labels is
+    A[agent][j]*delta(agent,j)*|labels(j)| minus one null term.  Co-members
+    are added in ascending order, left to right, so that values equal in
+    the library are equal here too and a tie can be tested with `==`.
+    """
+    m = g.m
+    out_i = set(g.out_adj[agent])
+    total = 0.0
+    for j in sorted(communities[k]):
+        if j == agent:
+            continue
+        if gain == "similarity":
+            total += similarity_oracle(g, agent, j)
+        else:
+            a_ij = 1.0 if j in out_i else 0.0
+            delta_ij = 1.0 if set(memberships[agent]) & set(memberships[j]) else 0.0
+            null = (len(g.in_adj[agent]) * len(g.out_adj[j])) / (2.0 * m)
+            total += a_ij * delta_ij * len(memberships[j]) - null
+    return total
+
+
 def modularity_directed_oracle(g: SnapshotGraph, p: dict) -> float:
     """Literal double loop over all ordered node pairs, i == j included."""
     m = g.m

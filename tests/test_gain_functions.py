@@ -1,8 +1,11 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dgt import gain_functions
 from dgt.errors import EmptyGraphError, PreconditionError
 from dgt.gain_functions import (
     GainContext,
@@ -356,3 +359,17 @@ class TestUtilityDelta:
                 )
                 assert delta == pytest.approx(full, abs=1e-12)
                 trials += 1
+
+
+def test_gain_functions_never_imports_game_engine():
+    # the engine imports the gain layer; an import back, even one local to
+    # a function, would make the two modules a cycle
+    tree = ast.parse(Path(gain_functions.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "game_engine" in name] == []

@@ -110,7 +110,6 @@ class TestGameConfig:
         assert cfg.gain == "similarity"
         assert cfg.max_passes == 8
         assert cfg.change_fraction_threshold == 0.05
-        assert cfg.allow_switch
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -173,7 +172,7 @@ class TestBestResponse:
         d1 = utility_delta(ctx, 0, Join(k1), st)
         d2 = utility_delta(ctx, 0, Join(k2), st)
         assert d1 == d2 and d1 > 0
-        assert best_response(ctx, 0, st, GameConfig(allow_switch=False)) == Join(k1)
+        assert best_response(ctx, 0, st, GameConfig()) == Join(k1)
 
     def test_switch_preferred_when_it_dominates(self, two_cliques):
         # leaving the worthless own singleton and joining a clique-mate
@@ -182,13 +181,6 @@ class TestBestResponse:
         action = best_response(GainContext(two_cliques), 0, st, GameConfig())
         assert isinstance(action, Switch)
         assert action.out_community == 0
-
-    def test_allow_switch_false_disables_switch(self, two_cliques):
-        st = CommunityStructure.from_singletons(two_cliques.nodes)
-        action = best_response(
-            GainContext(two_cliques), 0, st, GameConfig(allow_switch=False)
-        )
-        assert not isinstance(action, Switch)
 
     @pytest.mark.parametrize("gain", ["similarity", "modularity"])
     def test_matches_exhaustive_enumeration(self, gain):
@@ -348,19 +340,13 @@ class TestPotential:
         st = CommunityStructure()
         for v in two_cliques.nodes:
             st.add_agent(v)
-        assert potential(ctx, st, 1.0, 1.0) == 0.0
+        assert potential(ctx, st) == 0.0
 
     def test_singleton_init_value(self, two_cliques):
         ctx = GainContext(two_cliques)
         st = CommunityStructure.from_singletons(two_cliques.nodes)
         n, m = two_cliques.n, two_cliques.m
-        assert potential(ctx, st, 1.0, 2.0) == pytest.approx(2.0 * n / m, abs=1e-15)
-
-    def test_rejects_non_positive_weights(self, two_cliques):
-        ctx = GainContext(two_cliques)
-        st = CommunityStructure.from_singletons(two_cliques.nodes)
-        with pytest.raises(PreconditionError):
-            potential(ctx, st, 0.0, 1.0)
+        assert potential(ctx, st) == pytest.approx(n / m, abs=1e-15)
 
     def test_trace_mirrors_utility(self, two_cliques, tmp_path):
         ctx = GainContext(two_cliques)

@@ -22,7 +22,6 @@ def fake_result(memberships: dict, next_id: int) -> SnapshotResult:
         actions_taken={},
         utility_trace=[],
         memberships={v: frozenset(ks) for v, ks in memberships.items()},
-        next_id=next_id,
     )
 
 
@@ -114,8 +113,8 @@ class TestCarryover:
         rng = np.random.default_rng(31)
         g = random_digraph(rng, 12)
         st0 = init_structure(VariantKind("dgts"), 0, [], g)
-        _, res = run_snapshot(g, st0, GameConfig(rng_seed=0))
-        st1 = init_structure(VariantKind("dgt"), 1, [res], g, next_id=res.next_id)
+        evolved, res = run_snapshot(g, st0, GameConfig(rng_seed=0))
+        st1 = init_structure(VariantKind("dgt"), 1, [res], g, next_id=evolved.next_id)
         assert st1.audit() == []
 
 

@@ -19,10 +19,14 @@ from dgt.game_engine import (
     NoOp,
     Switch,
     _best_response,
+    _hard_assignment,
+    potential,
+    run_snapshot,
 )
 from dgt.snapshot_graph import SnapshotGraph, load_edge_stream, read_edge_list, write_edge_list
 
 from oracles import (
+    contribution_oracle,
     from_edges_oracle,
     load_edge_stream_oracle,
     parse_edge_file_oracle,
@@ -122,6 +126,41 @@ def test_best_response_delta_equals_utility_delta(gain, data):
         assert delta > 0.0
         assert delta == max(scores)
         assert delta == utility_delta(ctx, agent, action, structure, gain)
+
+
+@pytest.mark.parametrize("gain", ["similarity", "modularity"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_hard_assignment_takes_the_best_contribution(gain, data):
+    g, structure = data.draw(graph_and_structure())
+    ctx = GainContext(g)
+    first_fresh = structure.next_id
+    partition = _hard_assignment(ctx, structure, gain)
+    fresh = []
+    for agent in g.nodes:
+        held = sorted(structure.memberships[agent])
+        if not held:
+            fresh.append(partition[agent])
+            continue
+        contrib = {k: contribution_oracle(g, structure.communities, structure.memberships,
+                                          agent, k, gain) for k in held}
+        best = max(contrib.values())
+        assert partition[agent] == next(k for k in held if contrib[k] == best)
+    assert fresh == list(range(first_fresh, first_fresh + len(fresh)))
+    assert structure.next_id == first_fresh + len(fresh)
+
+
+@pytest.mark.parametrize("gain", ["similarity", "modularity"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_utility_trace_and_potential_match_the_final_structure(gain, data, seed):
+    g, initial = data.draw(graph_and_structure())
+    ctx = GainContext(g)
+    structure, result = run_snapshot(g, initial, GameConfig(gain=gain, rng_seed=seed), ctx=ctx)
+    total = sum(utility_oracle(g, structure.communities, structure.memberships, agent,
+                               structure.memberships[agent], gain) for agent in g.nodes)
+    assert result.utility_trace[-1] == pytest.approx(total, abs=1e-12)
+    assert potential(ctx, structure, gain) == -result.utility_trace[-1]
 
 
 def _structure_state(structure):

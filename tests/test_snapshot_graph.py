@@ -123,6 +123,17 @@ class TestGraphInvariants:
         with pytest.raises(PreconditionError):
             SnapshotGraph.from_edges([(1, 1)])
 
+    @pytest.mark.parametrize("edges, nodes, bad", [
+        ([(-1, 0), (-1, 1), (0, 1)], (), -1),
+        ([(0, -2)], (), -2),
+        ([(0, 1)], (3, -4), -4),
+    ], ids=["source", "target", "declared"])
+    def test_from_edges_rejects_negative_ids(self, edges, nodes, bad):
+        # GainContext indexes its degree lists by id, so -1 would read the
+        # last slot
+        with pytest.raises(PreconditionError, match=f"node id {bad} "):
+            SnapshotGraph.from_edges(edges, nodes=nodes)
+
     def test_degree_sums_equal_m(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
