@@ -117,8 +117,10 @@ def _make_config(args) -> GameConfig:
         raise DgtError("--repetitions must be >= 1")
     if args.jobs < 1:
         raise DgtError("--jobs must be >= 1")
+    # without --diagnostics nothing reads the per-pass totals
     return GameConfig(gain=args.gain, max_passes=args.max_passes,
-                      change_fraction_threshold=args.threshold, rng_seed=args.seed)
+                      change_fraction_threshold=args.threshold, rng_seed=args.seed,
+                      trace=args.diagnostics)
 
 
 def _rep_rows(seq, config, truth, undirected, unlabeled, contexts, variant, rep):

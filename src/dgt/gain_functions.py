@@ -176,6 +176,11 @@ def similarity(ctx: GainContext, i: int, j: int) -> float:
     return ctx.kernel_row(i)[j]
 
 
+def _check_gain(gain: str) -> None:
+    if gain not in GAIN_KINDS:
+        raise PreconditionError(f"gain must be one of {GAIN_KINDS}, got {gain!r}")
+
+
 def _check_labels(labels, structure) -> None:
     missing = [k for k in labels if k not in structure.communities]
     if missing:
@@ -204,8 +209,7 @@ def loss(ctx: GainContext, labels) -> float:
 
 def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "similarity") -> UtilityBreakdown:
     """Gain-minus-loss breakdown for an agent holding `labels`."""
-    if gain not in GAIN_KINDS:
-        raise PreconditionError(f"gain must be one of {GAIN_KINDS}, got {gain!r}")
+    _check_gain(gain)
     _check_labels(labels, structure)
     g = _MoveScorer(ctx, agent, structure, gain, labels).total()
     return UtilityBreakdown(gain=g, loss=loss(ctx, labels))
@@ -220,6 +224,10 @@ class _MoveScorer:
     so the coverage counts and the loss terms are computed once; each
     community's raw gain is memoized, so a switch reuses the values its
     two legs already computed.
+
+    Invariant: the agent is never a key of `cnt`, so the member walks of
+    a held community need no `j != agent` test, and a join target (a
+    community the agent is not in) is walked with `j not in cnt` alone.
     """
 
     __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
@@ -241,11 +249,13 @@ class _MoveScorer:
             self.norm = m
             # cnt[j]: how many held communities contain co-member j, keyed
             # in first-seen order over ascending labels and members
-            self.cnt = cnt = {}
-            for k in sorted(held):
-                for j in structure.communities[k]:
-                    if j != agent:
-                        cnt[j] = cnt.get(j, 0) + 1
+            labels = sorted(held)
+            communities = structure.communities
+            self.cnt = cnt = dict.fromkeys(communities[labels[0]], 1) if labels else {}
+            for k in labels[1:]:
+                for j in communities[k]:
+                    cnt[j] = cnt.get(j, 0) + 1
+            cnt.pop(agent, None)
             self.row = ctx.kernel_row(agent)
         else:
             self.norm = ctx.twom
@@ -285,16 +295,19 @@ class _MoveScorer:
         A[agent][j]*|labels(j)| minus the degree null model share."""
         raw = self.raw.get(k)
         if raw is None:
-            agent = self.agent
             raw = 0.0
             if self.similarity:
                 cnt, row = self.cnt, self.row
-                covered = 1 if k in self.held else 0
-                for j in self.structure.communities[k]:
-                    if j != agent and cnt.get(j, 0) == covered:
-                        raw += row[j]
+                if k in self.held:
+                    for j in self.structure.communities[k]:
+                        if cnt.get(j) == 1:
+                            raw += row[j]
+                else:
+                    for j in self.structure.communities[k]:
+                        if j not in cnt:
+                            raw += row[j]
             else:
-                ctx = self.ctx
+                agent, ctx = self.agent, self.ctx
                 out = ctx.graph.out_adj[agent]
                 memberships = self.structure.memberships
                 d_in_agent, d_out, twom = ctx.d_in[agent], ctx.d_out, ctx.twom
@@ -320,13 +333,11 @@ class _MoveScorer:
             return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
         # k_in's members count as gained when no held community other
         # than k_out covers them
-        agent, cnt, row = self.agent, self.cnt, self.row
+        cnt, row = self.cnt, self.row
         memberships = self.structure.memberships
         lost = self._raw_gain(k_out)
         gained = 0.0
         for j in self.structure.communities[k_in]:
-            if j == agent:
-                continue
             covered = cnt.get(j, 0) - (1 if k_out in memberships[j] else 0)
             if covered == 0:
                 gained += row[j]
@@ -341,8 +352,7 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
     similarity gain only genuinely new (or exclusively held) co-members
     move the gain, mirroring its union-of-co-members definition.
     """
-    if gain not in GAIN_KINDS:
-        raise PreconditionError(f"gain must be one of {GAIN_KINDS}, got {gain!r}")
+    _check_gain(gain)
     held = structure.memberships.get(agent, frozenset())
     if isinstance(action, NoOp):
         return 0.0

@@ -28,6 +28,7 @@ from .gain_functions import (
     NoOp,
     Switch,
     _MoveScorer,
+    _check_gain,
     action_kind,
 )
 from .snapshot_graph import SnapshotGraph
@@ -39,13 +40,15 @@ class GameConfig:
 
     The random generator is PCG64 seeded with `rng_seed`, so identical
     (graph, initial structure, config) triples replay identically on any
-    platform.
+    platform.  `trace` False skips the per-pass totals, leaving
+    `SnapshotResult.utility_trace` empty; the game itself is unchanged.
     """
 
     gain: str = "similarity"
     max_passes: int = 8
     change_fraction_threshold: float = 0.05
     rng_seed: int = 0
+    trace: bool = True
 
     def __post_init__(self):
         if self.gain not in GAIN_KINDS:
@@ -198,7 +201,8 @@ class SnapshotResult:
 
     `partition` is the final disjoint assignment.  `memberships` preserves
     the evolved multi-label state the game ended in (used to seed later
-    snapshots), and the trace fields record per-pass telemetry.
+    snapshots), and the trace fields record per-pass telemetry:
+    `changed_trace` always, `utility_trace` only under `GameConfig.trace`.
     """
 
     partition: dict[int, int]
@@ -223,7 +227,8 @@ def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStr
     return sorted(seen - held)
 
 
-_KIND_RANK = {"switch": 3, "join": 2, "leave": 1}
+# ties between equal deltas prefer switch > join > leave
+_SWITCH, _JOIN, _LEAVE = 3, 2, 1
 
 
 def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
@@ -246,25 +251,30 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
         if best_leave is None or delta > best_leave[0]:
             best_leave = (delta, k)
 
-    # key: (delta, kind rank); ties prefer switch > join > leave.  Each kind
-    # appears at most once, and the strict `>` over ascending ids above
-    # already kept the lowest community id among equal joins or leaves.
-    candidates: list[tuple[float, int, Action]] = []
+    # key: (delta, kind rank).  Each kind appears at most once, so only the
+    # winner is built into an action, and the strict `>` over ascending ids
+    # above already kept the lowest community id among equal joins or leaves.
+    candidates: list[tuple[float, int]] = []
     if best_join is not None:
-        candidates.append((best_join[0], _KIND_RANK["join"], Join(best_join[1])))
+        candidates.append((best_join[0], _JOIN))
     if best_leave is not None:
-        candidates.append((best_leave[0], _KIND_RANK["leave"], Leave(best_leave[1])))
+        candidates.append((best_leave[0], _LEAVE))
         if best_join is not None:
-            delta = score.switch(best_leave[1], best_join[1])
-            candidates.append((delta, _KIND_RANK["switch"], Switch(best_leave[1], best_join[1])))
+            candidates.append((score.switch(best_leave[1], best_join[1]), _SWITCH))
 
     # every join and leave, the no-op and the one switch
     considered = len(join_ids) + len(held) + 2
     if not candidates:
         return NOOP, 0.0, considered
-    delta, _, action = max(candidates)
+    delta, rank = max(candidates)
     if delta <= 0.0:
         return NOOP, 0.0, considered
+    if rank == _SWITCH:
+        action = Switch(best_leave[1], best_join[1])
+    elif rank == _JOIN:
+        action = Join(best_join[1])
+    else:
+        action = Leave(best_leave[1])
     return action, delta, considered
 
 
@@ -292,6 +302,7 @@ def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) 
 def potential(ctx: GainContext, structure: CommunityStructure, gain: str = "similarity") -> float:
     """Total loss minus total gain over all agents, a diagnostic for
     tracking the game's global progress."""
+    _check_gain(gain)
     total_gain, total_loss = _totals(ctx, ctx.graph.nodes, structure, gain)
     return total_loss - total_gain
 
@@ -375,8 +386,9 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
             actions_taken[action_kind(action)] += 1
             changed += 1
         passes_used += 1
-        total_gain, total_loss = _totals(ctx, agents, structure, config.gain)
-        utility_trace.append(total_gain - total_loss)
+        if config.trace:
+            total_gain, total_loss = _totals(ctx, agents, structure, config.gain)
+            utility_trace.append(total_gain - total_loss)
         changed_trace.append(changed)
         if changed / n < config.change_fraction_threshold:
             break

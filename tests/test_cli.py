@@ -181,6 +181,27 @@ class TestRun:
         assert list(diag[0]) == ["pass", "changed_agents", "total_utility", "potential"]
         assert len(diag) >= 1
 
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    def test_diagnostics_leave_other_outputs_unchanged(self, data_dir, tmp_path, gain):
+        # without --diagnostics the per-pass totals are skipped; the game
+        # and every other output must not notice
+        digests = []
+        for extra in ([], ["--diagnostics"]):
+            out = tmp_path / f"out{len(extra)}"
+            rc = cli.main([
+                "run", "--input", str(data_dir / "edges.txt"),
+                "--truth", str(data_dir / "truth.csv"),
+                "--variant", "dgt", "--gain", gain, "--repetitions", "2",
+                "--seed", "5", *extra, "--out", str(out),
+            ])
+            assert rc == 0
+            digests.append(tree_digest(out))
+        plain, diagnosed = digests
+        assert not any(name.startswith("diagnostics_") for name in plain)
+        assert {name: digest for name, digest in diagnosed.items()
+                if not name.startswith("diagnostics_")} == plain
+        assert {"metrics.csv", "churn.csv", "communities_t0_rep0.csv"} <= plain.keys()
+
     def test_undirected_mode(self, data_dir, tmp_path):
         out = tmp_path / "out"
         rc = cli.main([

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from dgt import game_engine
 from dgt.cli import _write_diagnostics
 from dgt.errors import AuditError, ConfigError, PreconditionError
 from dgt.gain_functions import GainContext, utility_delta
@@ -273,6 +274,18 @@ class TestRunSnapshot:
         trace = result.utility_trace
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
+    def test_trace_off_never_computes_totals(self, two_cliques, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("per-pass totals computed with trace=False")
+
+        monkeypatch.setattr(game_engine, "_totals", boom)
+        init = CommunityStructure.from_singletons(two_cliques.nodes)
+        _, result = run_snapshot(two_cliques, init, GameConfig(rng_seed=1, trace=False))
+        assert result.utility_trace == []
+        assert len(result.changed_trace) == result.passes_used >= 1
+        with pytest.raises(AssertionError, match="trace=False"):
+            run_snapshot(two_cliques, init, GameConfig(rng_seed=1))
+
     def test_partition_covers_all_nodes_once(self):
         rng = np.random.default_rng(22)
         for seed in range(10):
@@ -347,6 +360,12 @@ class TestPotential:
         st = CommunityStructure.from_singletons(two_cliques.nodes)
         n, m = two_cliques.n, two_cliques.m
         assert potential(ctx, st) == pytest.approx(n / m, abs=1e-15)
+
+    def test_rejects_unknown_gain(self, two_cliques):
+        ctx = GainContext(two_cliques)
+        st = CommunityStructure.from_singletons(two_cliques.nodes)
+        with pytest.raises(PreconditionError, match="bogus"):
+            potential(ctx, st, "bogus")
 
     def test_trace_mirrors_utility(self, two_cliques, tmp_path):
         ctx = GainContext(two_cliques)

@@ -15,7 +15,7 @@ from dgt.snapshot_graph import SnapshotGraph, load_edge_stream
 from oracles import random_digraph
 
 
-def fake_result(memberships: dict, next_id: int) -> SnapshotResult:
+def fake_result(memberships: dict) -> SnapshotResult:
     return SnapshotResult(
         partition={v: min(ks) for v, ks in memberships.items() if ks},
         passes_used=1,
@@ -63,8 +63,8 @@ class TestCarryover:
     def test_dgt_union_across_history(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 0)])
         history = [
-            fake_result({0: {3}, 1: {3}}, next_id=10),
-            fake_result({0: {7}, 1: {7}}, next_id=10),
+            fake_result({0: {3}, 1: {3}}),
+            fake_result({0: {7}, 1: {7}}),
         ]
         st = init_structure(VariantKind("dgt"), 2, history, g, next_id=10)
         assert st.memberships[0] == {3, 7}
@@ -74,15 +74,15 @@ class TestCarryover:
     def test_dgtp_uses_only_previous(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 0)])
         history = [
-            fake_result({0: {3}, 1: {3}}, next_id=10),
-            fake_result({0: {7}, 1: {7}}, next_id=10),
+            fake_result({0: {3}, 1: {3}}),
+            fake_result({0: {7}, 1: {7}}),
         ]
         st = init_structure(VariantKind("dgtp"), 2, history, g, next_id=10)
         assert st.memberships[0] == {7}
 
     def test_dgtp_equals_dgt_with_single_history(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)])
-        history = [fake_result({0: {2}, 1: {2}, 2: {1}}, next_id=5)]
+        history = [fake_result({0: {2}, 1: {2}, 2: {1}})]
         a = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
         b = init_structure(VariantKind("dgtp"), 1, history, g, next_id=5)
         assert a.memberships == b.memberships
@@ -90,7 +90,7 @@ class TestCarryover:
 
     def test_new_nodes_get_singletons(self):
         g = SnapshotGraph.from_edges([(0, 1), (2, 0)])
-        history = [fake_result({0: {4}, 1: {4}}, next_id=5)]
+        history = [fake_result({0: {4}, 1: {4}})]
         st = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
         assert st.memberships[2] == {5}
         assert st.next_id == 6
@@ -98,7 +98,7 @@ class TestCarryover:
     def test_departed_nodes_filtered(self):
         # node 9 vanished from the snapshot; its labels must not appear
         g = SnapshotGraph.from_edges([(0, 1)])
-        history = [fake_result({0: {3}, 9: {3, 4}}, next_id=5)]
+        history = [fake_result({0: {3}, 9: {3, 4}})]
         st = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
         assert set(st.communities) == {3, 5}
         assert st.communities[3] == [0]
@@ -107,7 +107,7 @@ class TestCarryover:
     def test_history_length_checked(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         with pytest.raises(PreconditionError):
-            init_structure(VariantKind("dgt"), 2, [fake_result({0: {1}}, 2)], g, next_id=2)
+            init_structure(VariantKind("dgt"), 2, [fake_result({0: {1}})], g, next_id=2)
 
     def test_run_snapshot_accepts_carryover(self):
         rng = np.random.default_rng(31)

@@ -163,6 +163,21 @@ def test_utility_trace_and_potential_match_the_final_structure(gain, data, seed)
     assert potential(ctx, structure, gain) == -result.utility_trace[-1]
 
 
+@pytest.mark.parametrize("gain", ["similarity", "modularity"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_trace_off_plays_the_same_game(gain, data, seed):
+    g, initial = data.draw(graph_and_structure())
+    ctx = GainContext(g)
+    runs = [run_snapshot(g, initial, GameConfig(gain=gain, rng_seed=seed, trace=trace),
+                         ctx=ctx)[1] for trace in (True, False)]
+    traced, plain = runs
+    assert plain.utility_trace == [] and len(traced.utility_trace) == traced.passes_used
+    for field in ("partition", "memberships", "passes_used", "changed_trace",
+                  "actions_taken", "games_played"):
+        assert getattr(plain, field) == getattr(traced, field), field
+
+
 def _structure_state(structure):
     return (
         structure.next_id,
