@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -31,6 +32,8 @@ from .snapshot_graph import (
     read_edge_list,
     write_churn_report,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,15 +115,16 @@ def _make_variant(args) -> VariantKind:
     return VariantKind(args.variant)
 
 
-def _make_config(args) -> GameConfig:
+def _make_config(args, trace: bool) -> GameConfig:
+    """The game's config; `trace` asks for the per-pass totals, which only
+    the diagnostics files of `run` read."""
     if args.repetitions < 1:
         raise DgtError("--repetitions must be >= 1")
     if args.jobs < 1:
         raise DgtError("--jobs must be >= 1")
-    # without --diagnostics nothing reads the per-pass totals
     return GameConfig(gain=args.gain, max_passes=args.max_passes,
                       change_fraction_threshold=args.threshold, rng_seed=args.seed,
-                      trace=args.diagnostics)
+                      trace=trace)
 
 
 def _rep_rows(seq, config, truth, undirected, unlabeled, contexts, variant, rep):
@@ -200,11 +204,16 @@ def cmd_run(args) -> int:
     seq = _load_sequence(args)
     truth = _load_truth(args, seq)
     variant = _make_variant(args)
-    config = _make_config(args)
+    config = _make_config(args, trace=args.diagnostics)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     [per_rep] = _run_all_reps(seq, [variant], config, truth, args)
+    results = [outcome.result for rows in per_rep for outcome, _, _, _ in rows]
+    capped = sum(1 for result in results if result.stop_reason == "pass_cap")
+    if capped:
+        logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
+                       "agents still changing", capped, len(results), args.max_passes)
 
     for rep, rows in enumerate(per_rep):
         for outcome, _, _, _ in rows:
@@ -241,7 +250,10 @@ def cmd_sweep(args) -> int:
     truth = _load_truth(args, seq)
     if truth is None:
         raise DgtError("--variant dgtg requires --truth")
-    config = _make_config(args)
+    config = _make_config(args, trace=False)
+    if args.diagnostics:
+        logger.warning("--diagnostics applies to `run` only; "
+                       "sweep-seed-fraction writes no diagnostics files")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

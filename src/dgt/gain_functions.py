@@ -12,14 +12,18 @@ It peaks for directly connected pairs sharing neighbors, so agents profit
 from joining communities of well-connected similar nodes.  Only pairs with
 an edge or a common neighbor leave the last branch, so a GainContext costs
 O(n+m) to build: it keeps the degree vectors and builds each agent's
-kernel row on first use, memoizing it for later turns.  The similarity
-gain of an agent sums the kernel over the union of its co-members: each
-node sharing at least one community with the agent counts exactly once,
-however many communities they share.  Counting per shared community
-instead would reward stacking redundant copies of one community (and
-empirically sends best-response play into degenerate merged states), while
-the union form makes duplicates worthless and extra memberships pay only
-for genuinely new co-members.
+sparse kernel row on first use, keeping it for later turns.  A row holds
+only those pairs; every other pair's null-model value is computed from
+the degrees each time it is read and never stored, so kernel memory does
+not grow with the pairs the game scores.
+
+The similarity gain of an agent sums the kernel over the union of its
+co-members: each node sharing at least one community with the agent
+counts exactly once, however many communities they share.  Counting per
+shared community instead would reward stacking redundant copies of one
+community (and empirically sends best-response play into degenerate
+merged states), while the union form makes duplicates worthless and extra
+memberships pay only for genuinely new co-members.
 
 The modularity gain instead scores how much better the agent's communities
 capture its edges than a degree-preserving random rewiring, counting each
@@ -84,24 +88,27 @@ def action_kind(action: Action) -> str:
 class _KernelRow(dict):
     """Kernel values of one agent, keyed by the other node of the pair.
 
-    Built holding only the pairs with an edge or a common neighbor; any
-    other pair takes the fourth branch, computed and stored on first use.
+    Holds only the pairs with an edge or a common neighbor.  `row[j]` on
+    any other pair returns the fourth branch, computed and not stored, so
+    the row never grows after it is built.
     """
 
     __slots__ = ("d_in_agent", "d_out", "fourm")
 
     def __missing__(self, j: int) -> float:
-        c = self[j] = -float(self.d_in_agent * self.d_out[j]) / self.fourm
-        return c
+        return -(self.d_in_agent * self.d_out[j]) / self.fourm
 
 
 class GainContext:
     """Per-snapshot state for utility evaluation: O(n+m) to build.
 
-    Holds the degree vectors; each agent's kernel row is built and
-    memoized on first use, so memory grows only with the pairs the game
-    actually scores.  Safe to share across repeated runs on the same
-    snapshot.
+    Holds the degree vectors and, for each agent that has played, its
+    sparse kernel row, built on first use and kept for later turns.  A
+    row holds only the agent's out-neighbours and the nodes sharing one
+    of its out-neighbours: at most its out-degree plus the in-degrees of
+    its out-neighbours, so all rows together hold at most m plus the sum
+    of squared in-degrees, whatever pairs the game scores.  Safe to share
+    across repeated runs on the same snapshot.
     """
 
     # Always False: bench/spans.py reads it for gain_functions.dense_contexts.
@@ -116,11 +123,15 @@ class GainContext:
         size = graph.max_node + 1
         self.twom = 2.0 * graph.m
         self.fourm = 4.0 * graph.m
-        self.d_in = [0] * size
-        self.d_out = [0] * size
+        # degrees as floats, one object per value (a degree is below n): a
+        # product of two is exact, so every kernel and null-model term
+        # rounds as it would from the integer product
+        as_float = [float(d) for d in range(graph.n)]
+        self.d_in = [0.0] * size
+        self.d_out = [0.0] * size
         for v in graph.nodes:
-            self.d_in[v] = len(graph.in_adj[v])
-            self.d_out[v] = len(graph.out_adj[v])
+            self.d_in[v] = as_float[len(graph.in_adj[v])]
+            self.d_out[v] = as_float[len(graph.out_adj[v])]
         self._rows: dict[int, _KernelRow] = {}
 
     def kernel_row(self, agent: int) -> _KernelRow:
@@ -144,7 +155,7 @@ class GainContext:
         row.d_out = d_out = self.d_out
         row.fourm = self.fourm
         for j in g.out_adj[i]:
-            dd = float(d_in_i * d_out[j])
+            dd = d_in_i * d_out[j]
             wj = w.get(j, 0)
             row[j] = wj * (1.0 - dd / self.twom) if wj >= 1 else dd / self.fourm
         # the row holds exactly i's out-neighbours here; `in` never calls
@@ -225,13 +236,27 @@ class _MoveScorer:
     community's raw gain is memoized, so a switch reuses the values its
     two legs already computed.
 
-    Invariant: the agent is never a key of `cnt`, so the member walks of
-    a held community need no `j != agent` test, and a join target (a
-    community the agent is not in) is walked with `j not in cnt` alone.
+    Invariants of the similarity walks, each of which keeps every sum and
+    its order exactly as the plain member walk would add it:
+
+    - The agent is never a key of `cnt`, so the member walks of a held
+      community need no `j != agent` test, and a join target (a community
+      the agent is not in) is walked with `j not in cnt` alone.
+    - An agent holding one label has `cnt` equal to that community minus
+      the agent, in member order, with every count 1; its leave walk
+      iterates `cnt` itself.
+    - A join walk that skips no member puts its community in `disjoint`.
+      No member of such a k_in is covered by a held community, so
+      `switch(k_out, k_in)` gains all of them, in the order that walk
+      added them: the gained sum is the memoized raw gain of k_in.
+    - Kernel values are read with `row.get(j)`; a pair the row does not
+      hold takes the null-model branch inline, not stored.  On the float
+      degrees that is the very float `row[j]` returns, -0.0 for a zero
+      degree product included, so no sum can differ from one over `row[j]`.
     """
 
     __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
-                 "join_loss", "leave_loss", "cnt", "row", "raw")
+                 "join_loss", "leave_loss", "cnt", "row", "raw", "disjoint")
 
     def __init__(self, ctx: GainContext, agent: int, structure, gain: str, held=None):
         self.ctx = ctx
@@ -257,6 +282,7 @@ class _MoveScorer:
                     cnt[j] = cnt.get(j, 0) + 1
             cnt.pop(agent, None)
             self.row = ctx.kernel_row(agent)
+            self.disjoint: set[int] = set()
         else:
             self.norm = ctx.twom
         self.raw: dict[int, float] = {}
@@ -269,8 +295,10 @@ class _MoveScorer:
         total = 0.0
         if self.similarity:
             row = self.row
+            get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
             for j in self.cnt:
-                total += row[j]
+                c = get(j)
+                total += c if c is not None else -(d_in * d_out[j]) / fourm
         else:
             for k in sorted(self.held):
                 total += self._raw_gain(k)
@@ -282,10 +310,12 @@ class _MoveScorer:
         if not self.similarity:
             return self._raw_gain(k)
         agent, row = self.agent, self.row
+        get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
         raw = 0.0
         for j in self.structure.communities[k]:
             if j != agent:
-                raw += row[j]
+                c = get(j)
+                raw += c if c is not None else -(d_in * d_out[j]) / fourm
         return raw
 
     def _raw_gain(self, k: int) -> float:
@@ -298,14 +328,27 @@ class _MoveScorer:
             raw = 0.0
             if self.similarity:
                 cnt, row = self.cnt, self.row
-                if k in self.held:
-                    for j in self.structure.communities[k]:
-                        if cnt.get(j) == 1:
-                            raw += row[j]
+                get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
+                members = self.structure.communities[k]
+                if k not in self.held:
+                    disjoint = True
+                    for j in members:
+                        if j in cnt:
+                            disjoint = False
+                        else:
+                            c = get(j)
+                            raw += c if c is not None else -(d_in * d_out[j]) / fourm
+                    if disjoint:
+                        self.disjoint.add(k)
+                elif len(self.held) == 1:
+                    for j in cnt:
+                        c = get(j)
+                        raw += c if c is not None else -(d_in * d_out[j]) / fourm
                 else:
-                    for j in self.structure.communities[k]:
-                        if j not in cnt:
-                            raw += row[j]
+                    for j in members:
+                        if cnt.get(j) == 1:
+                            c = get(j)
+                            raw += c if c is not None else -(d_in * d_out[j]) / fourm
             else:
                 agent, ctx = self.agent, self.ctx
                 out = ctx.graph.out_adj[agent]
@@ -331,16 +374,20 @@ class _MoveScorer:
     def switch(self, k_out: int, k_in: int) -> float:
         if not self.similarity:
             return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
+        lost = self._raw_gain(k_out)
+        if k_in in self.disjoint:
+            return (self.raw[k_in] - lost) / self.norm
         # k_in's members count as gained when no held community other
         # than k_out covers them
         cnt, row = self.cnt, self.row
+        get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
         memberships = self.structure.memberships
-        lost = self._raw_gain(k_out)
         gained = 0.0
         for j in self.structure.communities[k_in]:
             covered = cnt.get(j, 0) - (1 if k_out in memberships[j] else 0)
             if covered == 0:
-                gained += row[j]
+                c = get(j)
+                gained += c if c is not None else -(d_in * d_out[j]) / fourm
         return (gained - lost) / self.norm
 
 

@@ -203,6 +203,10 @@ class SnapshotResult:
     the evolved multi-label state the game ended in (used to seed later
     snapshots), and the trace fields record per-pass telemetry:
     `changed_trace` always, `utility_trace` only under `GameConfig.trace`.
+    `stop_reason` says why play stopped: "threshold" when the last pass
+    changed fewer than the threshold fraction of agents (even when that
+    pass was the last one allowed), "pass_cap" when every allowed pass
+    ran and the last one still changed more.
     """
 
     partition: dict[int, int]
@@ -210,6 +214,7 @@ class SnapshotResult:
     actions_taken: dict[str, int]
     utility_trace: list[float]
     changed_trace: list[int] = field(default_factory=list)
+    stop_reason: str = "threshold"
     games_played: int = 0
     max_candidates: int = 0
     memberships: dict[int, frozenset] = field(default_factory=dict)
@@ -365,6 +370,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     games_played = 0
     max_candidates = 0
     passes_used = 0
+    stop_reason = "pass_cap"
 
     for _ in range(config.max_passes):
         order = rng.permutation(n)
@@ -391,6 +397,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
             utility_trace.append(total_gain - total_loss)
         changed_trace.append(changed)
         if changed / n < config.change_fraction_threshold:
+            stop_reason = "threshold"
             break
 
     partition = _hard_assignment(ctx, structure, config.gain)
@@ -400,6 +407,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
         actions_taken=actions_taken,
         utility_trace=utility_trace,
         changed_trace=changed_trace,
+        stop_reason=stop_reason,
         games_played=games_played,
         max_candidates=max_candidates,
         memberships=structure.membership_snapshot(),

@@ -196,6 +196,13 @@ def common_neighbors(g: SnapshotGraph, i: int, j: int) -> int:
     return len(set(g.out_adj[i]) & set(g.out_adj[j]))
 
 
+def sparse_pairs_oracle(g: SnapshotGraph, i: int) -> set[int]:
+    """The nodes j whose pair (i, j) leaves the kernel's null-model branch:
+    i's out-neighbours and every node sharing an out-neighbour with i."""
+    return set(g.out_adj[i]) | {j for j in g.nodes
+                                if j != i and common_neighbors(g, i, j) >= 1}
+
+
 def from_edges_oracle(edges, index_t: int = 0, nodes=()) -> SnapshotGraph:
     """The set-of-pairs snapshot builder: every pair goes into one set
     before either adjacency map is filled."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dgt
-from dgt import cli
+from dgt import cli, game_engine
 from dgt.errors import AuditError
 from dgt.initialization import write_ground_truth
 from dgt.snapshot_graph import read_edge_list, write_edge_list
@@ -202,6 +202,22 @@ class TestRun:
                 if not name.startswith("diagnostics_")} == plain
         assert {"metrics.csv", "churn.csv", "communities_t0_rep0.csv"} <= plain.keys()
 
+    def test_pass_cap_reported_once(self, data_dir, tmp_path, caplog):
+        messages = []
+        for max_passes in ("1", "8"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="dgt"):
+                rc = cli.main(["run", "--input", str(data_dir / "edges.txt"),
+                               "--variant", "dgt", "--repetitions", "2", "--seed", "5",
+                               "--max-passes", max_passes,
+                               "--out", str(tmp_path / f"out{max_passes}")])
+            assert rc == 0
+            messages.append([r.getMessage() for r in caplog.records])
+        assert messages == [
+            ["6 of 6 game(s) stopped at the pass cap (--max-passes 1) with agents still changing"],
+            [],
+        ]
+
     def test_undirected_mode(self, data_dir, tmp_path):
         out = tmp_path / "out"
         rc = cli.main([
@@ -252,6 +268,54 @@ class TestFloatSums:
                        "--truth", str(data_dir / "truth.csv"), "--repetitions", "2",
                        "--seed", "4", "--out", str(tmp_path / "out")])
         assert rc == 0
+
+
+# sha256 of every output file of two fixed `dgt run` invocations on the
+# module fixture.  Any change to an output byte fails here, in place of
+# hand-run digest comparisons; a deliberate model change must update these
+# pins and say in CHANGES.md why the bytes moved.
+GOLDEN_ARGS = {
+    "dgt": ["--variant", "dgt", "--gain", "similarity", "--diagnostics"],
+    "dgtp": ["--variant", "dgtp", "--gain", "modularity", "--undirected"],
+}
+GOLDEN_DIGESTS = {
+    "dgt": {
+        "churn.csv": "82ae105dc9bfe5f9bbde56ecde2ac493c57ca98bf270cc83d49ff4ff2fd0ccd5",
+        "communities_t0_rep0.csv": "122c71ba93a4fa030fb9b09fbe1eae728d66f90c4f258aeeaba1256718a568cb",
+        "communities_t0_rep1.csv": "51bdbd9303b412f3233edc4eb23df9fffd392e7a306751429b47edb3e0fcfcb7",
+        "communities_t1_rep0.csv": "7a3b9d112014c14a6fbef0a7b3aba413a31bfa4dfa9bcf4ec67eb3ad4a550252",
+        "communities_t1_rep1.csv": "eb30c6a450a329b2da5728a55c47e715dd62aebff82b7aeb9cbd883fe8f3ae29",
+        "communities_t2_rep0.csv": "435d1e826cc048cf19f02b1c945e96ab33d8f4538568c6bc8e86a646738357aa",
+        "communities_t2_rep1.csv": "db4f9cb5a467322341ca45d1136b02533a0ef18b96d12d9b6c40c07000aa04f7",
+        "diagnostics_t0_rep0.csv": "635baa0c420a1ef42bbdbd4d3b19aef797294937978a7e096797c6662265d153",
+        "diagnostics_t0_rep1.csv": "7b3f5b6e7226096ac853f1a226feeb6f8cd5d0182b936aa2ce14b6ac8aec6f95",
+        "diagnostics_t1_rep0.csv": "0f2f7ff00a765aa2ee077fa3c5f0d8c1dee073d7ed85860c2a5173323d449a86",
+        "diagnostics_t1_rep1.csv": "40c5b726e0f7791ada5c53455d20201dbf08a0911f693eb1f2feff2b0d6863c4",
+        "diagnostics_t2_rep0.csv": "23b616cb4540e34fc074a9cd4ec94e2a6abff580a5b56b0ccbc210d828d2cbff",
+        "diagnostics_t2_rep1.csv": "2f16da23972c3147188011e79fa3d5f6a1c77c7a597bae6ce89fe13261f8a6f2",
+        "metrics.csv": "e01391b094d1fe306913342a79b86f071e57dc833dc8ba133f4c9207dcb10385",
+    },
+    "dgtp": {
+        "churn.csv": "80706a42f934dd1f89a11b013dd0d4df1fc15c5627b1aeda853ed5e2a58ced90",
+        "communities_t0_rep0.csv": "f523a3c0147dc8fbb4ac5cfc2f07bc21b8a1a1bcaec24320b8248633c7bb2dcd",
+        "communities_t0_rep1.csv": "f523a3c0147dc8fbb4ac5cfc2f07bc21b8a1a1bcaec24320b8248633c7bb2dcd",
+        "communities_t1_rep0.csv": "eecb7544084ee6502618e456e58bf7f9110a9c09c93a70d02a3bcd2fd3c7c41b",
+        "communities_t1_rep1.csv": "eecb7544084ee6502618e456e58bf7f9110a9c09c93a70d02a3bcd2fd3c7c41b",
+        "communities_t2_rep0.csv": "8d4160ffd593fb73bfd91dcd555b818d0e6b09eb3566a817a8364d15852f3040",
+        "communities_t2_rep1.csv": "8d4160ffd593fb73bfd91dcd555b818d0e6b09eb3566a817a8364d15852f3040",
+        "metrics.csv": "c17ea87c9882b2bcfcbbc25df290d8f6d831da003ecc9e7f2d8f0f679750daf2",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
+def test_outputs_match_pinned_digests(data_dir, tmp_path, variant):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--input", str(data_dir / "edges.txt"),
+                   "--truth", str(data_dir / "truth.csv"), "--repetitions", "2",
+                   "--seed", "3", *GOLDEN_ARGS[variant], "--out", str(out)])
+    assert rc == 0
+    assert tree_digest(out) == GOLDEN_DIGESTS[variant]
 
 
 class TestDeterminism:
@@ -416,6 +480,29 @@ class TestSweepCommand:
         for row in rows:
             assert 0.0 <= float(row["nmi_mean"]) <= 1.0
             assert float(row["nmi_std"]) >= 0.0
+
+    def test_diagnostics_flag_computes_no_totals(self, data_dir, tmp_path, monkeypatch, caplog):
+        def boom(*args, **kwargs):
+            raise AssertionError("per-pass totals computed by a sweep")
+
+        monkeypatch.setattr(game_engine, "_totals", boom)
+        digests, messages = [], []
+        for extra in ([], ["--diagnostics"]):
+            out = tmp_path / f"out{len(extra)}"
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="dgt"):
+                rc = cli.main([
+                    "sweep-seed-fraction", "--input", str(data_dir / "edges.txt"),
+                    "--truth", str(data_dir / "truth.csv"),
+                    "--variant", "dgtg", "--repetitions", "2", "--seed", "5",
+                    "--fractions", "0,0.2", *extra, "--out", str(out),
+                ])
+            assert rc == 0
+            digests.append(tree_digest(out))
+            messages.append([r.getMessage() for r in caplog.records])
+        assert list(digests[0]) == ["sweep.csv"] and digests[1] == digests[0]
+        assert messages == [[], ["--diagnostics applies to `run` only; "
+                                 "sweep-seed-fraction writes no diagnostics files"]]
 
     def test_fraction_out_of_range(self, data_dir, tmp_path, capsys):
         rc = cli.main([

@@ -286,6 +286,28 @@ class TestRunSnapshot:
         with pytest.raises(AssertionError, match="trace=False"):
             run_snapshot(two_cliques, init, GameConfig(rng_seed=1))
 
+    def test_stop_reason(self, two_cliques):
+        init = CommunityStructure.from_singletons(two_cliques.nodes)
+        _, settled = run_snapshot(two_cliques, init, GameConfig(rng_seed=1))
+        assert settled.stop_reason == "threshold"
+        assert settled.passes_used < 8 and settled.changed_trace[-1] / two_cliques.n < 0.05
+        # the final allowed pass meets the threshold: that counts as threshold
+        _, last = run_snapshot(two_cliques, init,
+                               GameConfig(rng_seed=1, max_passes=settled.passes_used))
+        assert last.changed_trace == settled.changed_trace and last.stop_reason == "threshold"
+        _, capped = run_snapshot(two_cliques, init,
+                                 GameConfig(rng_seed=1, max_passes=settled.passes_used - 1))
+        assert capped.stop_reason == "pass_cap"
+
+    def test_stop_reason_with_one_pass(self, two_cliques, two_cliques_plant):
+        singletons = CommunityStructure.from_singletons(two_cliques.nodes)
+        _, capped = run_snapshot(two_cliques, singletons, GameConfig(rng_seed=1, max_passes=1))
+        assert capped.changed_trace == [20] and capped.stop_reason == "pass_cap"
+        planted = CommunityStructure.from_memberships(
+            {v: {k} for v, k in two_cliques_plant.items()}, next_id=2)
+        _, settled = run_snapshot(two_cliques, planted, GameConfig(rng_seed=1, max_passes=1))
+        assert settled.changed_trace == [0] and settled.stop_reason == "threshold"
+
     def test_partition_covers_all_nodes_once(self):
         rng = np.random.default_rng(22)
         for seed in range(10):

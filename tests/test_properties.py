@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dgt import cli
 from dgt.errors import FormatError
-from dgt.gain_functions import GainContext, utility_delta
+from dgt.gain_functions import GainContext, similarity, utility_delta
 from dgt.game_engine import (
     CommunityStructure,
     GameConfig,
@@ -31,6 +31,7 @@ from oracles import (
     load_edge_stream_oracle,
     parse_edge_file_oracle,
     similarity_oracle,
+    sparse_pairs_oracle,
     utility_oracle,
 )
 
@@ -69,6 +70,39 @@ def test_kernel_rows_equal_oracle(g):
         for j in g.nodes:
             if i != j:
                 assert row[j] == similarity_oracle(g, i, j)
+
+
+@PROPERTY_SETTINGS
+@given(digraphs())
+def test_null_model_pairs_are_read_but_not_stored(g):
+    ctx = GainContext(g)
+    for i in g.nodes:
+        sparse = sparse_pairs_oracle(g, i)
+        row = ctx.kernel_row(i)
+        assert row.keys() == sparse
+        for j in g.nodes:
+            if j != i and j not in sparse:
+                assert similarity(ctx, i, j) == similarity_oracle(g, i, j)
+        assert len(row) == len(sparse)
+
+
+@pytest.mark.parametrize("gain", ["similarity", "modularity"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_rows_hold_only_sparse_pairs_after_a_game(gain, data, seed):
+    g, initial = data.draw(graph_and_structure())
+    ctx = GainContext(g)
+    structure, _ = run_snapshot(g, initial, GameConfig(gain=gain, rng_seed=seed), ctx=ctx)
+    potential(ctx, structure, gain)
+    _hard_assignment(ctx, structure, gain)
+    if gain == "modularity":
+        # the modularity gain reads degrees and adjacency only
+        assert ctx._rows == {}
+    else:
+        # every agent plays in the first pass, so every row is built
+        assert ctx._rows.keys() == set(g.nodes)
+        for i, row in ctx._rows.items():
+            assert row.keys() == sparse_pairs_oracle(g, i)
 
 
 @pytest.mark.parametrize("gain", ["similarity", "modularity"])
