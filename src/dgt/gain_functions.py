@@ -96,7 +96,7 @@ class _KernelRow(dict):
     __slots__ = ("d_in_agent", "d_out", "fourm")
 
     def __missing__(self, j: int) -> float:
-        return -(self.d_in_agent * self.d_out[j]) / self.fourm
+        return -float(self.d_in_agent * self.d_out[j]) / self.fourm
 
 
 class GainContext:
@@ -123,15 +123,11 @@ class GainContext:
         size = graph.max_node + 1
         self.twom = 2.0 * graph.m
         self.fourm = 4.0 * graph.m
-        # degrees as floats, one object per value (a degree is below n): a
-        # product of two is exact, so every kernel and null-model term
-        # rounds as it would from the integer product
-        as_float = [float(d) for d in range(graph.n)]
-        self.d_in = [0.0] * size
-        self.d_out = [0.0] * size
+        self.d_in = [0] * size
+        self.d_out = [0] * size
         for v in graph.nodes:
-            self.d_in[v] = as_float[len(graph.in_adj[v])]
-            self.d_out[v] = as_float[len(graph.out_adj[v])]
+            self.d_in[v] = len(graph.in_adj[v])
+            self.d_out[v] = len(graph.out_adj[v])
         self._rows: dict[int, _KernelRow] = {}
 
     def kernel_row(self, agent: int) -> _KernelRow:
@@ -155,7 +151,7 @@ class GainContext:
         row.d_out = d_out = self.d_out
         row.fourm = self.fourm
         for j in g.out_adj[i]:
-            dd = d_in_i * d_out[j]
+            dd = float(d_in_i * d_out[j])
             wj = w.get(j, 0)
             row[j] = wj * (1.0 - dd / self.twom) if wj >= 1 else dd / self.fourm
         # the row holds exactly i's out-neighbours here; `in` never calls
@@ -236,27 +232,20 @@ class _MoveScorer:
     community's raw gain is memoized, so a switch reuses the values its
     two legs already computed.
 
-    Invariants of the similarity walks, each of which keeps every sum and
-    its order exactly as the plain member walk would add it:
+    Invariant: the agent is never a key of `cnt`, so the member walks of
+    a held community need no `j != agent` test, and a join target (a
+    community the agent is not in) is walked with `j not in cnt` alone.
 
-    - The agent is never a key of `cnt`, so the member walks of a held
-      community need no `j != agent` test, and a join target (a community
-      the agent is not in) is walked with `j not in cnt` alone.
-    - An agent holding one label has `cnt` equal to that community minus
-      the agent, in member order, with every count 1; its leave walk
-      iterates `cnt` itself.
-    - A join walk that skips no member puts its community in `disjoint`.
-      No member of such a k_in is covered by a held community, so
-      `switch(k_out, k_in)` gains all of them, in the order that walk
-      added them: the gained sum is the memoized raw gain of k_in.
-    - Kernel values are read with `row.get(j)`; a pair the row does not
-      hold takes the null-model branch inline, not stored.  On the float
-      degrees that is the very float `row[j]` returns, -0.0 for a zero
-      degree product included, so no sum can differ from one over `row[j]`.
+    The walks of `total`, `_raw_gain` and `switch` read kernel values with
+    `row.get(j)` and compute a pair the row does not hold inline, saving
+    a `__missing__` call per null-model pair.  The inline term is the
+    float `row[j]` returns, except that a zero degree product gives +0.0
+    where `__missing__` gives -0.0; every sum starts at +0.0 and so never
+    becomes -0.0, and adding either zero leaves it unchanged.
     """
 
     __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
-                 "join_loss", "leave_loss", "cnt", "row", "raw", "disjoint")
+                 "join_loss", "leave_loss", "cnt", "row", "raw")
 
     def __init__(self, ctx: GainContext, agent: int, structure, gain: str, held=None):
         self.ctx = ctx
@@ -282,7 +271,6 @@ class _MoveScorer:
                     cnt[j] = cnt.get(j, 0) + 1
             cnt.pop(agent, None)
             self.row = ctx.kernel_row(agent)
-            self.disjoint: set[int] = set()
         else:
             self.norm = ctx.twom
         self.raw: dict[int, float] = {}
@@ -310,12 +298,10 @@ class _MoveScorer:
         if not self.similarity:
             return self._raw_gain(k)
         agent, row = self.agent, self.row
-        get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
         raw = 0.0
         for j in self.structure.communities[k]:
             if j != agent:
-                c = get(j)
-                raw += c if c is not None else -(d_in * d_out[j]) / fourm
+                raw += row[j]
         return raw
 
     def _raw_gain(self, k: int) -> float:
@@ -329,24 +315,14 @@ class _MoveScorer:
             if self.similarity:
                 cnt, row = self.cnt, self.row
                 get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
-                members = self.structure.communities[k]
-                if k not in self.held:
-                    disjoint = True
-                    for j in members:
-                        if j in cnt:
-                            disjoint = False
-                        else:
+                if k in self.held:
+                    for j in self.structure.communities[k]:
+                        if cnt.get(j) == 1:
                             c = get(j)
                             raw += c if c is not None else -(d_in * d_out[j]) / fourm
-                    if disjoint:
-                        self.disjoint.add(k)
-                elif len(self.held) == 1:
-                    for j in cnt:
-                        c = get(j)
-                        raw += c if c is not None else -(d_in * d_out[j]) / fourm
                 else:
-                    for j in members:
-                        if cnt.get(j) == 1:
+                    for j in self.structure.communities[k]:
+                        if j not in cnt:
                             c = get(j)
                             raw += c if c is not None else -(d_in * d_out[j]) / fourm
             else:
@@ -374,14 +350,12 @@ class _MoveScorer:
     def switch(self, k_out: int, k_in: int) -> float:
         if not self.similarity:
             return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
-        lost = self._raw_gain(k_out)
-        if k_in in self.disjoint:
-            return (self.raw[k_in] - lost) / self.norm
         # k_in's members count as gained when no held community other
         # than k_out covers them
         cnt, row = self.cnt, self.row
         get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
         memberships = self.structure.memberships
+        lost = self._raw_gain(k_out)
         gained = 0.0
         for j in self.structure.communities[k_in]:
             covered = cnt.get(j, 0) - (1 if k_out in memberships[j] else 0)

@@ -119,12 +119,12 @@ class TestSimilarityKernel:
         assert similarity(ctx, 0, 6) == similarity_oracle(g, 0, 6)
 
     def test_contexts_hold_only_sparse_rows_after_a_repetition(self):
-        # three snapshots of 40 planted 25-node communities, 49 294 edges in
+        # three snapshots of 12 planted 20-node communities, 9 081 edges in
         # all, played for two full-carryover passes each.  Measured: the
-        # contexts then hold 331 B per edge, their sparse rows and degrees;
-        # storing each null-model pair a walk reads raises it to 926 B
-        seq, _ = generate(SynthConfig(communities=40, community_size=25, p_in=0.6,
-                                      p_out=0.002, churn=0.1, num_snapshots=3, rng_seed=5))
+        # contexts then hold 231 B per edge, their sparse rows and degrees;
+        # storing each null-model pair a walk reads raises it to 590 B
+        seq, _ = generate(SynthConfig(communities=12, community_size=20, p_in=0.6,
+                                      p_out=0.005, churn=0.1, num_snapshots=3, rng_seed=5))
         edges = sum(g.m for g in seq.snapshots)
         tracemalloc.start()
         try:
@@ -134,8 +134,8 @@ class TestSimilarityKernel:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert 45_000 < edges < 55_000
-        assert held <= 450 * edges
+        assert 8_000 < edges < 10_000
+        assert held <= 350 * edges
 
 
 class TestGainSimilarity:
