@@ -156,6 +156,20 @@ def _worker_rep_rows(variant, rep):
 
 
 def _run_all_reps(seq, variants, config, truth, args):
+    """Yields, for each variant in turn, the `_rep_rows` of every repetition,
+    then warns once if any of the games stopped at the pass cap."""
+    games = capped = 0
+    for per_rep in _play_all_reps(seq, variants, config, truth, args):
+        for rows in per_rep:
+            games += len(rows)
+            capped += sum(outcome.result.stop_reason == "pass_cap" for outcome, _, _, _ in rows)
+        yield per_rep
+    if capped:
+        logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
+                       "agents still changing", capped, games, args.max_passes)
+
+
+def _play_all_reps(seq, variants, config, truth, args):
     """Yields, for each variant in turn, the `_rep_rows` of every repetition.
 
     With --jobs one process pool serves every variant: its workers get the
@@ -208,12 +222,8 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # unpacking reads the generator to its end, which reports the pass cap
     [per_rep] = _run_all_reps(seq, [variant], config, truth, args)
-    results = [outcome.result for rows in per_rep for outcome, _, _, _ in rows]
-    capped = sum(1 for result in results if result.stop_reason == "pass_cap")
-    if capped:
-        logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
-                       "agents still changing", capped, len(results), args.max_passes)
 
     for rep, rows in enumerate(per_rep):
         for outcome, _, _, _ in rows:

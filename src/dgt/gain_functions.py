@@ -12,10 +12,11 @@ It peaks for directly connected pairs sharing neighbors, so agents profit
 from joining communities of well-connected similar nodes.  Only pairs with
 an edge or a common neighbor leave the last branch, so a GainContext costs
 O(n+m) to build: it keeps the degree vectors and builds each agent's
-sparse kernel row on first use, keeping it for later turns.  A row holds
-only those pairs; every other pair's null-model value is computed from
-the degrees each time it is read and never stored, so kernel memory does
-not grow with the pairs the game scores.
+sparse kernel row on first use, keeping it for later turns.  A row is a
+plain dict holding only those pairs; `similarity()` and each member walk
+of `_MoveScorer` compute any other pair's null-model value from the
+degrees when they read it, so kernel memory does not grow with the pairs
+the game scores.
 
 The similarity gain of an agent sums the kernel over the union of its
 co-members: each node sharing at least one community with the agent
@@ -32,11 +33,10 @@ gains are normalized by the snapshot edge count, as is the loss (one unit
 per held label), so utilities of different snapshots live on comparable
 scales.
 
-`_MoveScorer` is the only code that sums a gain: an agent's total gain,
-one community's contribution, and the deltas of its join, leave and
-switch moves.  The public gain functions, `utility_delta` and the game
-engine all call it.  The move types live here because `utility_delta`
-dispatches on them.
+`_MoveScorer` is the only code that sums a gain: an agent's total gain
+and the deltas of its join, leave and switch moves.  The public gain
+functions, `utility_delta` and the game engine all call it.  The move
+types live here because `utility_delta` dispatches on them.
 """
 
 from __future__ import annotations
@@ -85,30 +85,16 @@ def action_kind(action: Action) -> str:
     return "noop"
 
 
-class _KernelRow(dict):
-    """Kernel values of one agent, keyed by the other node of the pair.
-
-    Holds only the pairs with an edge or a common neighbor.  `row[j]` on
-    any other pair returns the fourth branch, computed and not stored, so
-    the row never grows after it is built.
-    """
-
-    __slots__ = ("d_in_agent", "d_out", "fourm")
-
-    def __missing__(self, j: int) -> float:
-        return -float(self.d_in_agent * self.d_out[j]) / self.fourm
-
-
 class GainContext:
     """Per-snapshot state for utility evaluation: O(n+m) to build.
 
     Holds the degree vectors and, for each agent that has played, its
     sparse kernel row, built on first use and kept for later turns.  A
-    row holds only the agent's out-neighbours and the nodes sharing one
-    of its out-neighbours: at most its out-degree plus the in-degrees of
-    its out-neighbours, so all rows together hold at most m plus the sum
-    of squared in-degrees, whatever pairs the game scores.  Safe to share
-    across repeated runs on the same snapshot.
+    row is a plain dict holding only the agent's out-neighbours and the
+    nodes sharing one of its out-neighbours: at most its out-degree plus
+    the in-degrees of its out-neighbours, so all rows together hold at
+    most m plus the sum of squared in-degrees, whatever pairs the game
+    scores.  Safe to share across repeated runs on the same snapshot.
     """
 
     # Always False: bench/spans.py reads it for gain_functions.dense_contexts.
@@ -128,17 +114,18 @@ class GainContext:
         for v in graph.nodes:
             self.d_in[v] = len(graph.in_adj[v])
             self.d_out[v] = len(graph.out_adj[v])
-        self._rows: dict[int, _KernelRow] = {}
+        self._rows: dict[int, dict[int, float]] = {}
 
-    def kernel_row(self, agent: int) -> _KernelRow:
-        """The agent's kernel row: `row[j]` is the kernel value of the
-        ordered pair (agent, j) for any node j != agent."""
+    def kernel_row(self, agent: int) -> dict[int, float]:
+        """The agent's sparse kernel row: `row[j]` is the kernel value of
+        the ordered pair (agent, j) for each j it holds; every pair it
+        lacks takes the null-model branch."""
         row = self._rows.get(agent)
         if row is None:
             row = self._rows[agent] = self._build_row(agent)
         return row
 
-    def _build_row(self, i: int) -> _KernelRow:
+    def _build_row(self, i: int) -> dict[int, float]:
         g = self.graph
         # w[j]: targets that both i and j point to, for every j sharing one
         w: dict[int, int] = {}
@@ -146,16 +133,12 @@ class GainContext:
             for j in g.in_adj[t]:
                 if j != i:
                     w[j] = w.get(j, 0) + 1
-        row = _KernelRow()
-        row.d_in_agent = d_in_i = self.d_in[i]
-        row.d_out = d_out = self.d_out
-        row.fourm = self.fourm
+        row: dict[int, float] = {}
+        d_in_i, d_out = self.d_in[i], self.d_out
         for j in g.out_adj[i]:
             dd = float(d_in_i * d_out[j])
             wj = w.get(j, 0)
             row[j] = wj * (1.0 - dd / self.twom) if wj >= 1 else dd / self.fourm
-        # the row holds exactly i's out-neighbours here; `in` never calls
-        # __missing__
         for j, wj in w.items():
             if j not in row:
                 row[j] = wj / self.n
@@ -180,7 +163,8 @@ def similarity(ctx: GainContext, i: int, j: int) -> float:
         raise PreconditionError("similarity requires i != j")
     if not ctx.graph.has_node(i) or not ctx.graph.has_node(j):
         raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
-    return ctx.kernel_row(i)[j]
+    c = ctx.kernel_row(i).get(j)
+    return c if c is not None else -(ctx.d_in[i] * ctx.d_out[j]) / ctx.fourm
 
 
 def _check_gain(gain: str) -> None:
@@ -223,9 +207,9 @@ def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "simila
 
 
 class _MoveScorer:
-    """One agent's gain against the current structure: its total, each held
-    community's contribution, and the utility changes of its join, leave
-    and switch moves.  The only code that sums a gain.
+    """One agent's gain against the current structure: its total and the
+    utility changes of its join, leave and switch moves.  The only code
+    that sums a gain.
 
     `held` defaults to the agent's own labels.  Built once per agent turn,
     so the coverage counts and the loss terms are computed once; each
@@ -236,16 +220,13 @@ class _MoveScorer:
     a held community need no `j != agent` test, and a join target (a
     community the agent is not in) is walked with `j not in cnt` alone.
 
-    The walks of `total`, `_raw_gain` and `switch` read kernel values with
-    `row.get(j)` and compute a pair the row does not hold inline, saving
-    a `__missing__` call per null-model pair.  The inline term is the
-    float `row[j]` returns, except that a zero degree product gives +0.0
-    where `__missing__` gives -0.0; every sum starts at +0.0 and so never
-    becomes -0.0, and adding either zero leaves it unchanged.
+    Each similarity walk reads kernel values with `row.get(j)` and
+    computes the null-model term of a pair the sparse row does not hold
+    inline, from the agent's in-degree and j's out-degree.
     """
 
     __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
-                 "join_loss", "leave_loss", "cnt", "row", "raw")
+                 "join_loss", "leave_loss", "cnt", "row", "d_in_agent", "raw")
 
     def __init__(self, ctx: GainContext, agent: int, structure, gain: str, held=None):
         self.ctx = ctx
@@ -271,38 +252,31 @@ class _MoveScorer:
                     cnt[j] = cnt.get(j, 0) + 1
             cnt.pop(agent, None)
             self.row = ctx.kernel_row(agent)
+            self.d_in_agent = ctx.d_in[agent]
         else:
             self.norm = ctx.twom
         self.raw: dict[int, float] = {}
 
-    def total(self) -> float:
-        """The normalized gain over the held labels.  Similarity: the kernel
-        summed once over each co-member.  Modularity: each held community's
-        raw gain, in ascending label order."""
+    def raw_total(self) -> float:
+        """The gain over the held labels before normalization.  Similarity:
+        the kernel summed once over each co-member, in `cnt` order.
+        Modularity: each held community's raw gain, in ascending label
+        order."""
         # not sum(): its float rounding changed in Python 3.12
         total = 0.0
         if self.similarity:
-            row = self.row
-            get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
+            get, d_in, d_out, fourm = self.row.get, self.d_in_agent, self.ctx.d_out, self.ctx.fourm
             for j in self.cnt:
                 c = get(j)
                 total += c if c is not None else -(d_in * d_out[j]) / fourm
         else:
             for k in sorted(self.held):
                 total += self._raw_gain(k)
-        return total / self.norm
+        return total
 
-    def contribution(self, k: int) -> float:
-        """Raw gain of held community k taken alone (divide by the gain's
-        norm to get its share)."""
-        if not self.similarity:
-            return self._raw_gain(k)
-        agent, row = self.agent, self.row
-        raw = 0.0
-        for j in self.structure.communities[k]:
-            if j != agent:
-                raw += row[j]
-        return raw
+    def total(self) -> float:
+        """The gain over the held labels, normalized."""
+        return self.raw_total() / self.norm
 
     def _raw_gain(self, k: int) -> float:
         """Similarity: kernel sum over the members a join of k would add
@@ -313,8 +287,8 @@ class _MoveScorer:
         if raw is None:
             raw = 0.0
             if self.similarity:
-                cnt, row = self.cnt, self.row
-                get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
+                cnt, ctx = self.cnt, self.ctx
+                get, d_in, d_out, fourm = self.row.get, self.d_in_agent, ctx.d_out, ctx.fourm
                 if k in self.held:
                     for j in self.structure.communities[k]:
                         if cnt.get(j) == 1:
@@ -352,8 +326,8 @@ class _MoveScorer:
             return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
         # k_in's members count as gained when no held community other
         # than k_out covers them
-        cnt, row = self.cnt, self.row
-        get, d_in, d_out, fourm = row.get, row.d_in_agent, row.d_out, row.fourm
+        cnt, ctx = self.cnt, self.ctx
+        get, d_in, d_out, fourm = self.row.get, self.d_in_agent, ctx.d_out, ctx.fourm
         memberships = self.structure.memberships
         lost = self._raw_gain(k_out)
         gained = 0.0

@@ -232,14 +232,12 @@ def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStr
     return sorted(seen - held)
 
 
-# ties between equal deltas prefer switch > join > leave
-_SWITCH, _JOIN, _LEAVE = 3, 2, 1
-
-
 def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
                    config: GameConfig) -> tuple[Action, float, int]:
     """Returns (action, delta, candidates_considered); NoOp when no action
-    has a strictly positive utility change."""
+    has a strictly positive utility change.  Equal deltas prefer switch,
+    then join, then leave, and among equal joins or leaves the lowest
+    community id."""
     score = _MoveScorer(ctx, agent, structure, config.gain)
     held = score.held
     join_ids = _candidate_communities(ctx, agent, structure, held)
@@ -256,31 +254,19 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
         if best_leave is None or delta > best_leave[0]:
             best_leave = (delta, k)
 
-    # key: (delta, kind rank).  Each kind appears at most once, so only the
-    # winner is built into an action, and the strict `>` over ascending ids
-    # above already kept the lowest community id among equal joins or leaves.
-    candidates: list[tuple[float, int]] = []
+    # each strict `>` keeps the earlier kind on a tie: switch, join, leave
+    best, action = 0.0, NOOP
     if best_join is not None:
-        candidates.append((best_join[0], _JOIN))
-    if best_leave is not None:
-        candidates.append((best_leave[0], _LEAVE))
-        if best_join is not None:
-            candidates.append((score.switch(best_leave[1], best_join[1]), _SWITCH))
-
+        if best_leave is not None:
+            delta = score.switch(best_leave[1], best_join[1])
+            if delta > best:
+                best, action = delta, Switch(best_leave[1], best_join[1])
+        if best_join[0] > best:
+            best, action = best_join[0], Join(best_join[1])
+    if best_leave is not None and best_leave[0] > best:
+        best, action = best_leave[0], Leave(best_leave[1])
     # every join and leave, the no-op and the one switch
-    considered = len(join_ids) + len(held) + 2
-    if not candidates:
-        return NOOP, 0.0, considered
-    delta, rank = max(candidates)
-    if delta <= 0.0:
-        return NOOP, 0.0, considered
-    if rank == _SWITCH:
-        action = Switch(best_leave[1], best_join[1])
-    elif rank == _JOIN:
-        action = Join(best_join[1])
-    else:
-        action = Leave(best_leave[1])
-    return action, delta, considered
+    return action, best, len(join_ids) + len(held) + 2
 
 
 def best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
@@ -322,9 +308,9 @@ def is_local_equilibrium(ctx: GainContext, structure: CommunityStructure,
 
 
 def _hard_assignment(ctx: GainContext, structure: CommunityStructure, gain: str) -> dict[int, int]:
-    """Collapse each agent to its single highest-contribution community,
-    the lowest id among ties; agents holding no labels get a fresh
-    singleton id."""
+    """Collapse each agent to the held community with the highest raw gain
+    taken alone, the lowest id among ties; agents holding no labels get a
+    fresh singleton id."""
     partition: dict[int, int] = {}
     for agent in ctx.graph.nodes:
         held = structure.memberships.get(agent, ())
@@ -334,8 +320,8 @@ def _hard_assignment(ctx: GainContext, structure: CommunityStructure, gain: str)
             (partition[agent],) = held
         else:
             # max() keeps the first of equal keys, so the lowest id
-            score = _MoveScorer(ctx, agent, structure, gain)
-            partition[agent] = max(sorted(held), key=score.contribution)
+            partition[agent] = max(sorted(held), key=lambda k: _MoveScorer(
+                ctx, agent, structure, gain, (k,)).raw_total())
     return partition
 
 

@@ -59,11 +59,15 @@ class GroundTruth:
 def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
     """Read the ground-truth CSV `snapshot,node_label,community_label`.
 
-    Rows naming nodes that never appear in the sequence are skipped, and
-    their count is logged as a warning.  A label of digits also matches the
-    integer label of the same value.
+    The snapshot column holds the input ordinals of the edge list, and each
+    row is stored under the dense index of the snapshot read from that
+    ordinal.  Rows naming nodes that never appear in the sequence, or an
+    ordinal no snapshot was read from, are skipped, and their count is
+    logged as a warning.  A label of digits also matches the integer label
+    of the same value.
     """
     truth = GroundTruth()
+    snapshot_of = {t: k for k, t in enumerate(seq.ordinals)}
     skipped = 0
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -84,6 +88,10 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                     raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {row[0]!r}") from exc
                 if t < 0:
                     raise FormatError(f"{path}:{lineno}: negative snapshot ordinal")
+                k = snapshot_of.get(t)
+                if k is None:
+                    skipped += 1
+                    continue
                 label = row[1]
                 node = seq.label_to_id.get(label)
                 if node is None and label.isdigit():
@@ -94,22 +102,24 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                 if node is None:
                     skipped += 1
                     continue
-                truth.by_snapshot.setdefault(t, {})[node] = row[2]
+                truth.by_snapshot.setdefault(k, {})[node] = row[2]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
     if skipped:
-        logger.warning("skipped %d ground-truth row(s) naming unknown nodes", skipped)
+        logger.warning("skipped %d ground-truth row(s) naming unknown nodes or snapshots",
+                       skipped)
     return truth
 
 
 def write_ground_truth(truth: GroundTruth, seq: SnapshotSequence, path) -> None:
+    """Write the ground-truth CSV, each snapshot under its input ordinal."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["snapshot", "node_label", "community_label"])
         for t in sorted(truth.by_snapshot):
             labels = truth.by_snapshot[t]
             for node in sorted(labels):
-                writer.writerow([t, seq.label_of(node), labels[node]])
+                writer.writerow([seq.ordinals[t], seq.label_of(node), labels[node]])
 
 
 def _carryover(nodes, results: list[SnapshotResult], next_id: int) -> CommunityStructure:

@@ -99,13 +99,22 @@ class SnapshotGraph:
 
 @dataclass
 class SnapshotSequence:
-    """Ordered snapshots plus the shared label <-> id maps."""
+    """Ordered snapshots plus the shared label <-> id maps.
+
+    `ordinals[k]` is the input ordinal snapshot k was loaded from; a
+    sequence built without one numbers its snapshots 0..M-1.
+    """
 
     snapshots: list[SnapshotGraph]
     label_to_id: dict = field(default_factory=dict)
     id_to_label: list = field(default_factory=list)
     self_edges_dropped: int = 0
     duplicates_collapsed: int = 0
+    ordinals: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.ordinals:
+            self.ordinals = list(range(len(self.snapshots)))
 
     @property
     def num_snapshots(self) -> int:
@@ -131,8 +140,9 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     densely by first appearance in the record stream (then in
     `extra_nodes`).  Duplicate edges within a snapshot collapse to one;
     self-edges are dropped and counted.  Ordinals are densified: the k-th
-    distinct ordinal (ascending) becomes snapshot k, so the loaded ordinals
-    always form the contiguous range 0..M-1.
+    distinct ordinal (ascending) becomes snapshot k, so the snapshots'
+    `index_t` always form the contiguous range 0..M-1, and `ordinals[k]`
+    keeps the input ordinal of snapshot k.
 
     `extra_nodes` is an optional iterable of (label, ordinal) declaring
     nodes that belong to a snapshot even without incident edges.  With
@@ -195,6 +205,7 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
         id_to_label=list(label_to_id),
         self_edges_dropped=self_dropped,
         duplicates_collapsed=duplicates,
+        ordinals=list(dense),
     )
 
 
@@ -337,7 +348,8 @@ def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
 
 
 def write_edge_list(seq: SnapshotSequence, path) -> None:
-    """Serialize a sequence back to the edge-list text format.
+    """Serialize a sequence back to the edge-list text format, each
+    snapshot under its input ordinal.
 
     Raises FormatError, before the file is opened, on a node that would
     not read back as itself: a label that is empty, starts with `#` (the
@@ -356,16 +368,16 @@ def write_edge_list(seq: SnapshotSequence, path) -> None:
             raise FormatError(f"two labels are written as {text!r}: "
                               "they would read back as one node")
         texts.add(text)
-    for g in seq.snapshots:
+    for ordinal, g in zip(seq.ordinals, seq.snapshots):
         for v in g.nodes:
             if not g.out_adj[v] and not g.in_adj[v]:
                 raise FormatError(f"node {seq.label_of(v)!r} has no edge in snapshot "
-                                  f"{g.index_t}: an edge list cannot hold it")
+                                  f"{ordinal}: an edge list cannot hold it")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for g in seq.snapshots:
+        for ordinal, g in zip(seq.ordinals, seq.snapshots):
             for i in g.nodes:
                 for j in g.out_adj[i]:
-                    fh.write(f"{seq.label_of(i)} {seq.label_of(j)} {g.index_t}\n")
+                    fh.write(f"{seq.label_of(i)} {seq.label_of(j)} {ordinal}\n")
 
 
 def churn_rows(seq: SnapshotSequence) -> list[tuple[int, int, int, int]]:

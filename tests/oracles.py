@@ -350,4 +350,4 @@ def load_edge_stream_oracle(records, extra_nodes=None, undirected: bool = False)
 
     return SnapshotSequence(snapshots=snapshots, label_to_id=label_to_id,
                             id_to_label=id_to_label, self_edges_dropped=self_dropped,
-                            duplicates_collapsed=duplicates)
+                            duplicates_collapsed=duplicates, ordinals=sorted(ordinals))

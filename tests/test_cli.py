@@ -131,8 +131,23 @@ class TestRun:
                            "--repetitions", "1", "--out", str(tmp_path / "out")])
         assert rc == 0
         assert [r.getMessage() for r in caplog.records] == [
-            "skipped 1 ground-truth row(s) naming unknown nodes"]
+            "skipped 1 ground-truth row(s) naming unknown nodes or snapshots"]
         assert read_csv(tmp_path / "out" / "metrics.csv")[0]["n_communities_true"] == "1"
+
+    def test_truth_read_by_input_ordinal(self, tmp_path):
+        # snapshots 1 and 2 of the files are t=0 and t=1 of every output
+        (tmp_path / "edges.txt").write_text(
+            "a b 1\nb c 1\nc a 1\na b 2\nb a 2\nc d 2\nd c 2\n", encoding="utf-8")
+        (tmp_path / "truth.csv").write_text(
+            "snapshot,node_label,community_label\n1,a,x\n1,b,x\n1,c,x\n"
+            "2,a,x\n2,b,x\n2,c,y\n2,d,y\n", encoding="utf-8")
+        rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                       "--truth", str(tmp_path / "truth.csv"), "--variant", "dgts",
+                       "--repetitions", "1", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        rows = read_csv(tmp_path / "out" / "metrics.csv")[:-1]
+        assert [(row["t"], row["n_communities_true"]) for row in rows] == [("0", "1"), ("1", "2")]
+        assert all(row["nmi"] != "" for row in rows)
 
     @pytest.mark.parametrize("width", ["nan", "inf"])
     def test_non_finite_window_exits_one(self, tmp_path, capsys, width):
@@ -503,6 +518,22 @@ class TestSweepCommand:
         assert list(digests[0]) == ["sweep.csv"] and digests[1] == digests[0]
         assert messages == [[], ["--diagnostics applies to `run` only; "
                                  "sweep-seed-fraction writes no diagnostics files"]]
+
+    def test_pass_cap_reported_once(self, data_dir, tmp_path, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="dgt"):
+            rc = cli.main([
+                "sweep-seed-fraction", "--input", str(data_dir / "edges.txt"),
+                "--truth", str(data_dir / "truth.csv"),
+                "--variant", "dgtg", "--repetitions", "2", "--seed", "5",
+                "--fractions", "0,0.2", "--max-passes", "1", "--out", str(out),
+            ])
+        assert rc == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "12 of 12 game(s) stopped at the pass cap (--max-passes 1) with agents still changing"]
+        # the warning changes no output byte
+        assert tree_digest(out) == {
+            "sweep.csv": "619668ad43793ab9762c0ddf5ec73ca5dad60ed00b10ce4f6bf705823560a9a2"}
 
     def test_fraction_out_of_range(self, data_dir, tmp_path, capsys):
         rc = cli.main([

@@ -175,6 +175,27 @@ class TestBestResponse:
         assert d1 == d2 and d1 > 0
         assert best_response(ctx, 0, st, GameConfig()) == Join(k1)
 
+    @pytest.mark.parametrize("gain, agent, edges, communities, tied, expected", [
+        ("modularity", 5, [(1, 4), (2, 0), (2, 4), (3, 2), (4, 2), (5, 3)],
+         [[2, 3, 4], [0, 1, 2, 5], [2, 3]], Leave(1), Switch(1, 0)),
+        ("similarity", 3, [(0, 2), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
+         [[2], [1, 3], [0, 3]], Join(0), Switch(1, 0)),
+        ("modularity", 3, [(1, 2), (3, 0), (3, 4), (3, 5), (4, 2), (5, 3)],
+         [[1], [0, 2, 4], [0, 3]], Join(1), Switch(2, 1)),
+    ])
+    def test_equal_deltas_prefer_switch_over_join_and_leave(self, gain, agent, edges,
+                                                            communities, tied, expected):
+        g = SnapshotGraph.from_edges(edges)
+        st = CommunityStructure()
+        for v in g.nodes:
+            st.add_agent(v)
+        for members in communities:
+            st.create_community(members)
+        ctx = GainContext(g)
+        delta = utility_delta(ctx, agent, expected, st, gain)
+        assert delta > 0 and delta == utility_delta(ctx, agent, tied, st, gain)
+        assert best_response(ctx, agent, st, GameConfig(gain=gain)) == expected
+
     def test_switch_preferred_when_it_dominates(self, two_cliques):
         # leaving the worthless own singleton and joining a clique-mate
         # beats either move alone

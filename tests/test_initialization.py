@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from dgt.initialization import (
     load_ground_truth,
     write_ground_truth,
 )
-from dgt.snapshot_graph import SnapshotGraph, load_edge_stream
+from dgt.snapshot_graph import SnapshotGraph, load_edge_stream, read_edge_list
 
 from oracles import random_digraph
 
@@ -182,6 +184,49 @@ class TestGroundTruthIO:
         write_ground_truth(truth, seq, path)
         reloaded = load_ground_truth(path, seq)
         assert reloaded.by_snapshot == truth.by_snapshot
+
+    def test_round_trip_keeps_input_ordinals(self, tmp_path):
+        seq = load_edge_stream([("a", "b", 3), ("b", "c", 8)])
+        truth = GroundTruth(by_snapshot={0: {seq.label_to_id["a"]: "red"},
+                                         1: {seq.label_to_id["c"]: "blue"}})
+        path = tmp_path / "truth.csv"
+        write_ground_truth(truth, seq, path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == ["3,a,red", "8,c,blue"]
+        assert load_ground_truth(path, seq).by_snapshot == truth.by_snapshot
+
+    @pytest.mark.parametrize("ordinals", [(1, 2), (3, 8)])
+    def test_rows_stored_under_the_dense_index(self, tmp_path, ordinals):
+        t0, t1 = ordinals
+        seq = load_edge_stream([("a", "b", t0), ("b", "c", t1)])
+        path = tmp_path / "truth.csv"
+        path.write_text(f"snapshot,node_label,community_label\n{t0},a,x\n{t1},c,y\n",
+                        encoding="utf-8")
+        truth = load_ground_truth(path, seq)
+        assert truth.by_snapshot == {0: {seq.label_to_id["a"]: "x"},
+                                     1: {seq.label_to_id["c"]: "y"}}
+
+    def test_rows_of_unknown_ordinals_skipped(self, tmp_path, caplog):
+        seq = load_edge_stream([("a", "b", 1)])
+        path = tmp_path / "truth.csv"
+        path.write_text("snapshot,node_label,community_label\n"
+                        "0,a,x\n1,a,y\n2,b,z\n1,mystery,w\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="dgt"):
+            truth = load_ground_truth(path, seq)
+        assert truth.by_snapshot == {0: {seq.label_to_id["a"]: "y"}}
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 3 ground-truth row(s) naming unknown nodes or snapshots"]
+
+    def test_window_mode_rows_use_window_ordinals(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("a b 10.0\nb c 10.5\nc a 15.2\n", encoding="utf-8")
+        seq = read_edge_list(edges, snapshot_by="window:1")
+        assert seq.ordinals == [0, 5]
+        path = tmp_path / "truth.csv"
+        path.write_text("snapshot,node_label,community_label\n0,a,x\n5,c,y\n",
+                        encoding="utf-8")
+        truth = load_ground_truth(path, seq)
+        assert truth.by_snapshot == {0: {seq.label_to_id["a"]: "x"},
+                                     1: {seq.label_to_id["c"]: "y"}}
 
     def test_unknown_nodes_skipped(self, tmp_path):
         seq = load_edge_stream([("a", "b", 0)])

@@ -64,12 +64,12 @@ def graph_and_structure(draw):
 @PROPERTY_SETTINGS
 @given(digraphs())
 def test_kernel_rows_equal_oracle(g):
+    # repr: a zero null-model term must read 0.0, as in the oracle, not -0.0
     ctx = GainContext(g)
     for i in g.nodes:
-        row = ctx.kernel_row(i)
         for j in g.nodes:
             if i != j:
-                assert row[j] == similarity_oracle(g, i, j)
+                assert repr(similarity(ctx, i, j)) == repr(similarity_oracle(g, i, j))
 
 
 @PROPERTY_SETTINGS
@@ -364,6 +364,7 @@ def test_write_then_read_keeps_every_labeled_edge(scratch_file, records):
     write_edge_list(seq, scratch_file)
     reloaded = read_edge_list(scratch_file)
     assert reloaded.num_snapshots == seq.num_snapshots
+    assert reloaded.ordinals == seq.ordinals
     assert (reloaded.self_edges_dropped, reloaded.duplicates_collapsed) == (0, 0)
     for g1, g2 in zip(seq.snapshots, reloaded.snapshots):
         assert g2.index_t == g1.index_t

@@ -90,6 +90,7 @@ class TestLoadEdgeStream:
         seq = load_edge_stream([("a", "b", 2), ("b", "c", 7)])
         assert seq.num_snapshots == 2
         assert [g.index_t for g in seq.snapshots] == [0, 1]
+        assert seq.ordinals == [2, 7]
 
     def test_ids_stable_across_snapshots(self):
         seq = load_edge_stream([("x", "y", 0), ("y", "x", 1), ("z", "x", 1)])

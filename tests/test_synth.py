@@ -44,6 +44,7 @@ class TestGenerate:
         seq, truth = generate(self.CFG)
         n = self.CFG.n
         assert seq.num_snapshots == 4
+        assert seq.ordinals == [0, 1, 2, 3]
         for t, g in enumerate(seq.snapshots):
             assert g.n == n
             assert g.m >= 1
