@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 input/config error, 2 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +31,7 @@ from .snapshot_graph import (
     parse_node_file,
     read_edge_list,
     write_churn_report,
+    write_csv,
 )
 
 logger = logging.getLogger(__name__)
@@ -132,13 +133,9 @@ def _rep_rows(seq, config, truth, undirected, unlabeled, contexts, variant, rep)
     `contexts` None builds each snapshot's GainContext in the repetition."""
     outcomes = run_repetition(seq, variant, config, truth=truth, repetition=rep,
                               contexts=contexts)
-    rows = []
-    for outcome in outcomes:
-        score, mod, n_true = evaluate_outcome(
-            seq, outcome, truth=truth, undirected=undirected,
-            unlabeled_as_community=unlabeled)
-        rows.append((outcome, score, mod, n_true))
-    return rows
+    return [(outcome, *evaluate_outcome(seq, outcome, truth=truth, undirected=undirected,
+                                        unlabeled_as_community=unlabeled))
+            for outcome in outcomes]
 
 
 # The leading `_rep_rows` arguments of a --jobs pool worker, set once when
@@ -157,54 +154,41 @@ def _worker_rep_rows(variant, rep):
 
 def _run_all_reps(seq, variants, config, truth, args):
     """Yields, for each variant in turn, the `_rep_rows` of every repetition,
-    then warns once if any of the games stopped at the pass cap."""
-    games = capped = 0
-    for per_rep in _play_all_reps(seq, variants, config, truth, args):
-        for rows in per_rep:
-            games += len(rows)
-            capped += sum(outcome.result.stop_reason == "pass_cap" for outcome, _, _, _ in rows)
-        yield per_rep
-    if capped:
-        logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
-                       "agents still changing", capped, games, args.max_passes)
-
-
-def _play_all_reps(seq, variants, config, truth, args):
-    """Yields, for each variant in turn, the `_rep_rows` of every repetition.
+    then warns once if any of the games stopped at the pass cap.
 
     With --jobs one process pool serves every variant: its workers get the
     fixed arguments once, and a task carries only the variant and the rep.
+    Without it, one GainContext per snapshot serves every repetition.
     """
     fixed = (seq, config, truth, args.undirected, args.unlabeled_as_community)
     reps = range(args.repetitions)
     # a fork pool starts all its workers up front: never more than tasks
     jobs = min(args.jobs, args.repetitions)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=fixed) as pool:
-            for variant in variants:
-                yield list(pool.map(partial(_worker_rep_rows, variant), reps))
-        return
-    contexts = [GainContext(g) for g in seq.snapshots]
-    for variant in variants:
-        yield list(map(partial(_rep_rows, *fixed, contexts, variant), reps))
-
-
-def _write_partition(path, seq: SnapshotSequence, partition: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_label", "community_id"])
-        for node in sorted(partition):
-            writer.writerow([seq.label_of(node), partition[node]])
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                   initargs=fixed)
+        play, rep_rows = pool.map, _worker_rep_rows
+    else:
+        pool, play = contextlib.nullcontext(), map
+        rep_rows = partial(_rep_rows, *fixed, [GainContext(g) for g in seq.snapshots])
+    games = capped = 0
+    with pool:
+        for variant in variants:
+            per_rep = list(play(partial(rep_rows, variant), reps))
+            for rows in per_rep:
+                games += len(rows)
+                capped += sum(outcome.result.stop_reason == "pass_cap" for outcome, *_ in rows)
+            yield per_rep
+    if capped:
+        logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
+                       "agents still changing", capped, games, args.max_passes)
 
 
 def _write_diagnostics(path, result) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pass", "changed_agents", "total_utility", "potential"])
-        for i, (changed, util) in enumerate(zip(result.changed_trace, result.utility_trace)):
-            # 0.0 - util, not -util: a zero utility must print as 0.0
-            writer.writerow([i, changed, repr(util), repr(0.0 - util)])
+    # 0.0 - util, not -util: a zero utility must print as 0.0
+    write_csv(path, ["pass", "changed_agents", "total_utility", "potential"],
+              [(i, changed, util, 0.0 - util) for i, (changed, util)
+               in enumerate(zip(result.changed_trace, result.utility_trace))])
 
 
 def _mean(values):
@@ -226,20 +210,20 @@ def cmd_run(args) -> int:
     [per_rep] = _run_all_reps(seq, [variant], config, truth, args)
 
     for rep, rows in enumerate(per_rep):
-        for outcome, _, _, _ in rows:
-            _write_partition(out_dir / f"communities_t{outcome.t}_rep{rep}.csv",
-                             seq, outcome.result.partition)
+        for outcome, *_ in rows:
+            write_csv(out_dir / f"communities_t{outcome.t}_rep{rep}.csv",
+                      ["node_label", "community_id"],
+                      [(seq.label_of(v), k) for v, k in sorted(outcome.result.partition.items())])
             if args.diagnostics:
                 _write_diagnostics(out_dir / f"diagnostics_t{outcome.t}_rep{rep}.csv",
                                    outcome.result)
 
     report_rows = []
-    for t in range(seq.num_snapshots):
-        preds = [rows[t][0].n_communities for rows in per_rep]
-        nmis = [rows[t][1] for rows in per_rep]
-        mods = [rows[t][2] for rows in per_rep]
-        n_true = per_rep[0][t][3]
-        report_rows.append((t, _mean(preds), n_true, _mean(nmis), _mean(mods)))
+    # zip(*per_rep) gives each snapshot's rows across the repetitions
+    for t, snapshot_rows in enumerate(zip(*per_rep)):
+        outcomes, nmis, mods, n_trues = zip(*snapshot_rows)
+        report_rows.append((t, _mean(o.n_communities for o in outcomes), n_trues[0],
+                            _mean(nmis), _mean(mods)))
     write_metrics_report(out_dir / "metrics.csv", report_rows)
     write_churn_report(seq, out_dir / "churn.csv")
     return 0
@@ -280,11 +264,7 @@ def cmd_sweep(args) -> int:
         mean, std = _mean_std(rep_means) if rep_means else (float("nan"), 0.0)
         rows.append((fraction, mean, std))
 
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fraction", "nmi_mean", "nmi_std"])
-        for fraction, mean, std in rows:
-            writer.writerow([repr(float(fraction)), repr(mean), repr(std)])
+    write_csv(out_dir / "sweep.csv", ["fraction", "nmi_mean", "nmi_std"], rows)
     return 0
 
 

@@ -42,6 +42,7 @@ types live here because `utility_delta` dispatches on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import EmptyGraphError, PreconditionError
 from .snapshot_graph import SnapshotGraph
@@ -49,40 +50,34 @@ from .snapshot_graph import SnapshotGraph
 GAIN_KINDS = ("similarity", "modularity")
 
 
+# `kind` names each action in `SnapshotResult.actions_taken`
 @dataclass(frozen=True)
 class Join:
+    kind: ClassVar[str] = "join"
     community: int
 
 
 @dataclass(frozen=True)
 class Leave:
+    kind: ClassVar[str] = "leave"
     community: int
 
 
 @dataclass(frozen=True)
 class Switch:
+    kind: ClassVar[str] = "switch"
     out_community: int
     in_community: int
 
 
 @dataclass(frozen=True)
 class NoOp:
-    pass
+    kind: ClassVar[str] = "noop"
 
 
 NOOP = NoOp()
 
 Action = Join | Leave | Switch | NoOp
-
-
-def action_kind(action: Action) -> str:
-    if isinstance(action, Join):
-        return "join"
-    if isinstance(action, Leave):
-        return "leave"
-    if isinstance(action, Switch):
-        return "switch"
-    return "noop"
 
 
 class GainContext:

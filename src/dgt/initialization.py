@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, PreconditionError
 from .game_engine import CommunityStructure, SnapshotResult
-from .snapshot_graph import SnapshotGraph, SnapshotSequence
+from .snapshot_graph import SnapshotGraph, SnapshotSequence, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -113,13 +113,10 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
 
 def write_ground_truth(truth: GroundTruth, seq: SnapshotSequence, path) -> None:
     """Write the ground-truth CSV, each snapshot under its input ordinal."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["snapshot", "node_label", "community_label"])
-        for t in sorted(truth.by_snapshot):
-            labels = truth.by_snapshot[t]
-            for node in sorted(labels):
-                writer.writerow([seq.ordinals[t], seq.label_of(node), labels[node]])
+    write_csv(path, ["snapshot", "node_label", "community_label"],
+              [(seq.ordinals[t], seq.label_of(node), label)
+               for t, labels in sorted(truth.by_snapshot.items())
+               for node, label in sorted(labels.items())])
 
 
 def _carryover(nodes, results: list[SnapshotResult], next_id: int) -> CommunityStructure:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 
 from .errors import EmptyGraphError, MetricsError
-from .snapshot_graph import SnapshotGraph
+from .snapshot_graph import SnapshotGraph, write_csv
 
 
 def _sum_floats(values) -> float:
@@ -146,24 +145,13 @@ def write_metrics_report(path, rows) -> None:
     `rows` are (t, n_communities_pred, n_communities_true, nmi, modularity)
     tuples; the truth-dependent cells may be None and are left blank.
     """
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "n_communities_pred", "n_communities_true", "nmi", "modularity"])
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-        summary = ["summary"]
-        for col in range(1, 5):
-            values = [row[col] for row in rows if row[col] is not None]
-            if values:
-                mean, std = _mean_std(values)
-                summary.append(f"{mean!r}±{std!r}")
-            else:
-                summary.append("")
-        writer.writerow(summary)
+    summary = ["summary"]
+    for col in range(1, 5):
+        values = [row[col] for row in rows if row[col] is not None]
+        if values:
+            mean, std = _mean_std(values)
+            summary.append(f"{mean!r}±{std!r}")
+        else:
+            summary.append("")
+    write_csv(path, ["t", "n_communities_pred", "n_communities_true", "nmi", "modularity"],
+              [*rows, summary])

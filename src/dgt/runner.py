@@ -28,7 +28,10 @@ def derive_seeds(master_seed: int, repetition: int, t: int) -> tuple[int, int]:
 class SnapshotOutcome:
     t: int
     result: SnapshotResult
-    n_communities: int
+
+    @property
+    def n_communities(self) -> int:
+        return len(set(self.result.partition.values()))
 
 
 def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConfig,
@@ -51,11 +54,7 @@ def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConf
         structure, result = run_snapshot(graph, initial, replace(config, rng_seed=game_seed), ctx=ctx)
         next_id = structure.next_id
         history.append(result)
-        outcomes.append(SnapshotOutcome(
-            t=t,
-            result=result,
-            n_communities=len(set(result.partition.values())),
-        ))
+        outcomes.append(SnapshotOutcome(t, result))
     return outcomes
 
 
@@ -67,7 +66,8 @@ def evaluate_outcome(seq: SnapshotSequence, outcome: SnapshotOutcome,
     NMI compares against ground truth over the labeled nodes present in
     the snapshot, or over all nodes with unlabeled ones pooled into one
     extra community when `unlabeled_as_community` is set.  Truth-dependent
-    values are None when no ground truth is available.
+    values are None when no ground truth is available; the true count is
+    also None when the truth holds no label for this snapshot.
     """
     graph = seq.snapshots[outcome.t]
     partition = outcome.result.partition
@@ -83,4 +83,4 @@ def evaluate_outcome(seq: SnapshotSequence, outcome: SnapshotOutcome,
         reference = {v: labels[v] for v in covered}
         predicted = {v: partition[v] for v in covered}
     score = nmi(predicted, reference) if reference else None
-    return score, mod, truth.community_count(outcome.t)
+    return score, mod, truth.community_count(outcome.t) if labels else None

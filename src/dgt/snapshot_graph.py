@@ -196,8 +196,8 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
         edges = buckets.pop(raw, None)
         if not edges:
             raise FormatError(f"snapshot {k} has no edges")
-        extras = {v for t, vs in declared.items() if dense[t] == k for v in vs}
-        snapshots.append(SnapshotGraph.from_edges(edges, index_t=k, nodes=extras))
+        snapshots.append(SnapshotGraph.from_edges(edges, index_t=k,
+                                                  nodes=declared.get(raw, ())))
 
     return SnapshotSequence(
         snapshots=snapshots,
@@ -390,10 +390,16 @@ def churn_rows(seq: SnapshotSequence) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def write_churn_report(seq: SnapshotSequence, path) -> None:
-    """Write the churn CSV: header `t,e_plus,e_minus,n_changed`."""
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV, the one way every dgt output file
+    is written: UTF-8, LF line ends, a float as its repr() and None as an
+    empty cell (the csv module's own formatting of both)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "e_plus", "e_minus", "n_changed"])
-        for row in churn_rows(seq):
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_churn_report(seq: SnapshotSequence, path) -> None:
+    """Write the churn CSV: header `t,e_plus,e_minus,n_changed`."""
+    write_csv(path, ["t", "e_plus", "e_minus", "n_changed"], churn_rows(seq))

@@ -149,6 +149,22 @@ class TestRun:
         assert [(row["t"], row["n_communities_true"]) for row in rows] == [("0", "1"), ("1", "2")]
         assert all(row["nmi"] != "" for row in rows)
 
+    def test_snapshot_without_truth_rows_has_no_true_count(self, tmp_path):
+        # truth rows for ordinal 1 only: snapshot 0 has no true count, not 0
+        (tmp_path / "edges.txt").write_text(
+            "a b 0\nb c 0\nc a 0\na b 1\nc d 1\nd e 1\n", encoding="utf-8")
+        (tmp_path / "truth.csv").write_text(
+            "snapshot,node_label,community_label\n1,a,x\n1,b,x\n1,c,y\n1,d,y\n1,e,y\n",
+            encoding="utf-8")
+        rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                       "--truth", str(tmp_path / "truth.csv"), "--repetitions", "2",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0
+        rows = read_csv(tmp_path / "out" / "metrics.csv")
+        assert [(row["n_communities_true"], row["nmi"] == "") for row in rows[:-1]] == [
+            ("", True), ("2", False)]
+        assert rows[-1]["n_communities_true"] == "2.0±0.0"
+
     @pytest.mark.parametrize("width", ["nan", "inf"])
     def test_non_finite_window_exits_one(self, tmp_path, capsys, width):
         edge_file = tmp_path / "edges.txt"

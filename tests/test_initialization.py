@@ -20,7 +20,6 @@ from oracles import random_digraph
 def fake_result(memberships: dict) -> SnapshotResult:
     return SnapshotResult(
         partition={v: min(ks) for v, ks in memberships.items() if ks},
-        passes_used=1,
         actions_taken={},
         utility_trace=[],
         memberships={v: frozenset(ks) for v, ks in memberships.items()},

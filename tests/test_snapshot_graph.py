@@ -1,10 +1,15 @@
 import logging
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgt
 from dgt.errors import FormatError, PreconditionError
 from dgt.snapshot_graph import (
     ChangeStats,
@@ -16,6 +21,7 @@ from dgt.snapshot_graph import (
     parse_node_file,
     read_edge_list,
     write_churn_report,
+    write_csv,
     write_edge_list,
 )
 
@@ -107,6 +113,13 @@ class TestLoadEdgeStream:
         g = seq.snapshots[0]
         assert g.n == 3 and g.m == 1
         assert g.out_adj[seq.label_to_id["ghost"]] == ()
+
+    def test_declared_nodes_on_gapped_ordinals(self):
+        seq = load_edge_stream([("a", "b", 2), ("a", "b", 5), ("a", "b", 9)],
+                               extra_nodes=[("x", 2), ("y", 9), ("z", 5), ("w", 9)])
+        assert seq.ordinals == [2, 5, 9]
+        assert [[seq.label_of(v) for v in g.nodes] for g in seq.snapshots] == [
+            ["a", "b", "x"], ["a", "b", "z"], ["a", "b", "y", "w"]]
 
     def test_undirected_mode(self):
         seq = load_edge_stream([("a", "b", 0)], undirected=True)
@@ -289,13 +302,22 @@ class TestEdgeFileParsing:
             for t in range(3):
                 for _ in range(17_000):
                     fh.write(f"n{rng.randrange(5000)} n{rng.randrange(5000)} {t}\n")
-        tracemalloc.start()
-        try:
-            seq = read_edge_list(path)
-            size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sum(g.m for g in seq.snapshots) > 50_000
+        # a fresh interpreter: `size` leaves out objects CPython takes from
+        # its free lists, so after other tests in the same process the
+        # ratio drifts with what ran before (measured 1.89 to 2.49)
+        script = ("import sys, tracemalloc\n"
+                  "from dgt.snapshot_graph import read_edge_list\n"
+                  "tracemalloc.start()\n"
+                  "seq = read_edge_list(sys.argv[1])\n"
+                  "size, peak = tracemalloc.get_traced_memory()\n"
+                  "print(sum(g.m for g in seq.snapshots), size, peak)\n")
+        src = str(Path(dgt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        edges, size, peak = map(int, out.split())
+        assert edges > 50_000
         assert peak <= 2 * size
 
     def test_loaded_sequence_holds_each_edge_once(self, random_edge_file):
@@ -359,3 +381,13 @@ class TestChurnReport:
             tracemalloc.stop()
         assert seq.num_snapshots == 3
         assert after - before < 0.01 * before
+
+
+class TestWriteCsv:
+    def test_cells_are_written_one_way(self, tmp_path):
+        # None blank, a float as its repr(), `\n` line ends, UTF-8
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b", "c"], [(None, 0.1 + 0.2, -0.0),
+                                          (float("nan"), 1e22, 7), ("x y", "é,q", 0.0)])
+        assert path.read_bytes() == (
+            b"a,b,c\n,0.30000000000000004,-0.0\nnan,1e+22,7\nx y,\"\xc3\xa9,q\",0.0\n")
