@@ -21,9 +21,9 @@ from functools import partial
 from pathlib import Path
 
 from .errors import AuditError, DgtError
-from .gain_functions import GainContext
+from .gain_functions import GAIN_KINDS, GainContext
 from .game_engine import GameConfig
-from .initialization import GroundTruth, VariantKind, load_ground_truth
+from .initialization import VARIANT_KINDS, GroundTruth, VariantKind, load_ground_truth
 from .metrics import _mean_std, _sum_floats, write_metrics_report
 from .runner import evaluate_outcome, run_repetition
 from .snapshot_graph import (
@@ -60,8 +60,8 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
-    p.add_argument("--variant", default="dgt", choices=["dgt", "dgts", "dgtp", "dgtg"])
-    p.add_argument("--gain", default="similarity", choices=["similarity", "modularity"])
+    p.add_argument("--variant", default="dgt", choices=VARIANT_KINDS)
+    p.add_argument("--gain", default="similarity", choices=GAIN_KINDS)
     p.add_argument("--seed-fraction", type=float, default=0.1,
                    help="fraction of nodes seeded from ground truth (dgtg only)")
     p.add_argument("--truth", default=None, help="ground-truth CSV: snapshot,node_label,community_label")
@@ -256,11 +256,8 @@ def cmd_sweep(args) -> int:
     # strict: zip reads the generator to its end, which closes the pool
     per_variant = _run_all_reps(seq, variants, config, truth, args)
     for fraction, per_rep in zip(fractions, per_variant, strict=True):
-        rep_means = []
-        for rep_rows in per_rep:
-            scores = [score for _, score, _, _ in rep_rows if score is not None]
-            if scores:
-                rep_means.append(_sum_floats(scores) / len(scores))
+        rep_means = [_mean(score for _, score, _, _ in rep_rows) for rep_rows in per_rep]
+        rep_means = [m for m in rep_means if m is not None]
         mean, std = _mean_std(rep_means) if rep_means else (float("nan"), 0.0)
         rows.append((fraction, mean, std))
 

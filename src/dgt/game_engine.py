@@ -81,11 +81,7 @@ class CommunityStructure:
 
     @classmethod
     def from_singletons(cls, nodes, next_id: int = 0) -> "CommunityStructure":
-        s = cls(next_id)
-        for v in sorted(nodes):
-            s.add_agent(v)
-            s.create_community([v])
-        return s
+        return cls(next_id).fill_singletons(nodes)
 
     @classmethod
     def from_memberships(cls, memberships: dict, next_id: int) -> "CommunityStructure":
@@ -101,6 +97,14 @@ class CommunityStructure:
         for members in s.communities.values():
             members.sort()
         return s
+
+    def fill_singletons(self, nodes) -> "CommunityStructure":
+        """Give each of `nodes` that holds no label a fresh singleton
+        community, in ascending node order, and return the structure."""
+        for v in sorted(nodes):
+            if not self.memberships.get(v):
+                self.create_community([v])
+        return self
 
     def add_agent(self, agent: int) -> None:
         self.memberships.setdefault(agent, set())
@@ -156,9 +160,6 @@ class CommunityStructure:
         else:
             raise PreconditionError(f"unknown action {action!r}")
 
-    def membership_snapshot(self) -> dict[int, frozenset]:
-        return {v: frozenset(ks) for v, ks in self.memberships.items()}
-
     def copy(self) -> "CommunityStructure":
         dup = CommunityStructure(self.next_id)
         dup.communities = {k: list(vs) for k, vs in self.communities.items()}
@@ -198,9 +199,9 @@ class CommunityStructure:
 class SnapshotResult:
     """Outcome of one snapshot's game.
 
-    `partition` is the final disjoint assignment.  `memberships` preserves
-    the evolved multi-label state the game ended in (used to seed later
-    snapshots), and the trace fields record per-pass telemetry:
+    `partition` is the final disjoint assignment; the evolved multi-label
+    state the game ended in is the structure `run_snapshot` returns beside
+    this result.  The trace fields record per-pass telemetry:
     `changed_trace` always, `utility_trace` only under `GameConfig.trace`.
     `actions_taken` counts every turn under its action's `kind`, the no-op
     included, so `games_played` is its sum and `passes_used` the length of
@@ -216,7 +217,6 @@ class SnapshotResult:
     changed_trace: list[int] = field(default_factory=list)
     stop_reason: str = "threshold"
     max_candidates: int = 0
-    memberships: dict[int, frozenset] = field(default_factory=dict)
 
     @property
     def passes_used(self) -> int:
@@ -343,7 +343,8 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     each applied action must strictly improve the acting agent's utility
     (violations raise AuditError: they would mean the engine's incremental
     deltas disagree with the action taken).  Returns the evolved
-    multi-membership structure and the hard-assigned result.
+    multi-membership structure, whose `memberships` seed the carry-over of
+    later snapshots, and the hard-assigned result.
     """
     problems = initial.audit()
     if problems:
@@ -399,6 +400,5 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
         changed_trace=changed_trace,
         stop_reason=stop_reason,
         max_candidates=max_candidates,
-        memberships=structure.membership_snapshot(),
     )
     return structure, result

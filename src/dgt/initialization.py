@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError, PreconditionError
-from .game_engine import CommunityStructure, SnapshotResult
+from .game_engine import CommunityStructure
 from .snapshot_graph import SnapshotGraph, SnapshotSequence, write_csv
 
 logger = logging.getLogger(__name__)
@@ -119,30 +119,17 @@ def write_ground_truth(truth: GroundTruth, seq: SnapshotSequence, path) -> None:
                for node, label in sorted(labels.items())])
 
 
-def _carryover(nodes, results: list[SnapshotResult], next_id: int) -> CommunityStructure:
-    """Each node starts with the union of the community ids it held in
-    `results`; nodes with no prior labels get fresh singletons."""
-    union: dict[int, set[int]] = {}
-    for result in results:
-        for v, ks in result.memberships.items():
-            if ks:
-                union.setdefault(v, set()).update(ks)
-    carried = {v: union.get(v, set()) for v in nodes}
-    structure = CommunityStructure.from_memberships(carried, next_id)
-    for v in sorted(nodes):
-        if not carried[v]:
-            structure.create_community([v])
-    return structure
-
-
-def init_structure(variant: VariantKind, t: int, history: list[SnapshotResult],
+def init_structure(variant: VariantKind, t: int, history: list[dict[int, set[int]]],
                    graph: SnapshotGraph, truth: GroundTruth | None = None,
                    rng: np.random.Generator | None = None,
                    next_id: int = 0) -> CommunityStructure:
     """Build the starting structure for snapshot `t`.
 
-    `history` holds the results of snapshots 0..t-1 in order (their evolved
-    memberships feed the dgt/dgtp carryover).  `next_id` continues the
+    `history` holds the evolved memberships (agent -> label-set maps) of
+    snapshots 0..t-1 in order, as the structures `run_snapshot` returned
+    hold them.  dgts, dgt and dgtp start each node with the union of its
+    labels over the maps they carry (none, all, or the last one); a node
+    with no carried label gets a fresh singleton.  `next_id` continues the
     run-wide community id counter so ids are never reused across snapshots.
     """
     nodes = graph.nodes
@@ -151,13 +138,16 @@ def init_structure(variant: VariantKind, t: int, history: list[SnapshotResult],
     if variant.kind in ("dgt", "dgtp") and t > 0 and len(history) != t:
         raise PreconditionError(f"history must have {t} entries, got {len(history)}")
 
-    if variant.kind == "dgts" or (variant.kind in ("dgt", "dgtp") and t == 0):
-        return CommunityStructure.from_singletons(nodes, next_id)
-
-    if variant.kind == "dgt":
-        return _carryover(nodes, history, next_id)
-    if variant.kind == "dgtp":
-        return _carryover(nodes, history[t - 1 : t], next_id)
+    if variant.kind != "dgtg":
+        # dgtp's slice is empty at t = 0, like dgt's
+        carried = {"dgts": [], "dgt": history[:t], "dgtp": history[t - 1 : t]}[variant.kind]
+        union: dict[int, set[int]] = {}
+        for memberships in carried:
+            for v, ks in memberships.items():
+                if ks:
+                    union.setdefault(v, set()).update(ks)
+        return CommunityStructure.from_memberships(
+            {v: union[v] for v in nodes if v in union}, next_id).fill_singletons(nodes)
 
     # dgtg: seeded fresh at every snapshot with whole ground-truth
     # communities, picked in seeded random order until their member total
@@ -170,22 +160,14 @@ def init_structure(variant: VariantKind, t: int, history: list[SnapshotResult],
     groups = truth.communities_for(t)
     labels = sorted(groups, key=str)
     budget = int(variant.seed_fraction * graph.n)
-    seeded: set[int] = set()
     if budget > 0 and labels:
         order = rng.permutation(len(labels))
         total = 0
         for idx in order:
             if total >= budget:
                 break
-            members = sorted(groups[labels[idx]] & node_set)
-            if not members:
-                continue
-            for v in members:
-                structure.add_agent(v)
-            structure.create_community(members)
-            seeded.update(members)
-            total += len(members)
-    for v in sorted(node_set - seeded):
-        structure.add_agent(v)
-        structure.create_community([v])
-    return structure
+            members = groups[labels[idx]] & node_set
+            if members:
+                structure.create_community(members)
+                total += len(members)
+    return structure.fill_singletons(nodes)

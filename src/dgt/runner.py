@@ -42,7 +42,7 @@ def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConf
     `contexts` may pass pre-built GainContexts (one per snapshot) to share
     kernel caches across repetitions.
     """
-    history: list[SnapshotResult] = []
+    history: list[dict[int, set[int]]] = []
     outcomes: list[SnapshotOutcome] = []
     next_id = 0
     for t, graph in enumerate(seq.snapshots):
@@ -53,7 +53,7 @@ def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConf
                                  rng=rng, next_id=next_id)
         structure, result = run_snapshot(graph, initial, replace(config, rng_seed=game_seed), ctx=ctx)
         next_id = structure.next_id
-        history.append(result)
+        history.append(structure.memberships)
         outcomes.append(SnapshotOutcome(t, result))
     return outcomes
 
@@ -65,16 +65,17 @@ def evaluate_outcome(seq: SnapshotSequence, outcome: SnapshotOutcome,
 
     NMI compares against ground truth over the labeled nodes present in
     the snapshot, or over all nodes with unlabeled ones pooled into one
-    extra community when `unlabeled_as_community` is set.  Truth-dependent
-    values are None when no ground truth is available; the true count is
-    also None when the truth holds no label for this snapshot.
+    extra community when `unlabeled_as_community` is set.  Both
+    truth-dependent values are None when no ground truth is given or when
+    it holds no label for this snapshot, with the flag or without it; NMI
+    is also None when no labeled node is in the snapshot.
     """
     graph = seq.snapshots[outcome.t]
     partition = outcome.result.partition
     mod = (modularity_undirected if undirected else modularity_directed)(graph, partition)
-    if truth is None:
+    labels = truth.labels_for(outcome.t) if truth is not None else {}
+    if not labels:
         return None, mod, None
-    labels = truth.labels_for(outcome.t)
     if unlabeled_as_community:
         reference = {v: labels.get(v, "__unlabeled__") for v in graph.nodes}
         predicted = dict(partition)
@@ -83,4 +84,4 @@ def evaluate_outcome(seq: SnapshotSequence, outcome: SnapshotOutcome,
         reference = {v: labels[v] for v in covered}
         predicted = {v: partition[v] for v in covered}
     score = nmi(predicted, reference) if reference else None
-    return score, mod, truth.community_count(outcome.t) if labels else None
+    return score, mod, truth.community_count(outcome.t)

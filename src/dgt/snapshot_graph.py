@@ -303,17 +303,6 @@ def _window_records(path, window: float) -> list[tuple[str, str, int]]:
     return records
 
 
-def parse_edge_file(path, snapshot_by: str = "column"):
-    """Parse a whitespace-separated edge-list file into loader records.
-
-    Each non-comment line is `source target snapshot [timestamp]`.  With
-    snapshot_by="window:<W>" the last column is read as a timestamp and
-    bucketed into windows of W seconds starting at the earliest timestamp
-    (the snapshot column may then be omitted entirely).
-    """
-    return list(_edge_records(path, snapshot_by))
-
-
 def parse_node_file(path):
     """Parse an optional node-list file: lines of `label snapshot`."""
     entries = []
@@ -335,6 +324,11 @@ def parse_node_file(path):
 def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
                    undirected: bool = False) -> SnapshotSequence:
     """Parse an edge-list file and load it into a SnapshotSequence.
+
+    Each non-comment line is `source target snapshot [timestamp]`.  With
+    snapshot_by="window:<W>" the last column is read as a timestamp and
+    bucketed into windows of W seconds starting at the earliest timestamp
+    (the snapshot column may then be omitted entirely).
 
     The file is streamed line by line into the per-snapshot edge sets, so
     no list of all records is held (except in window mode, which must find

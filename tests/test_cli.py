@@ -165,6 +165,26 @@ class TestRun:
             ("", True), ("2", False)]
         assert rows[-1]["n_communities_true"] == "2.0±0.0"
 
+    def test_snapshot_without_truth_rows_is_not_scored_with_pooled_unlabeled(self, tmp_path):
+        # pooling every node of snapshot 0 into `__unlabeled__` would score it 0.0
+        (tmp_path / "edges.txt").write_text(
+            "a b 0\nb c 0\nc a 0\na b 1\nc d 1\nd e 1\n", encoding="utf-8")
+        (tmp_path / "truth.csv").write_text(
+            "snapshot,node_label,community_label\n1,a,x\n1,b,x\n1,c,y\n1,d,y\n1,e,y\n",
+            encoding="utf-8")
+        runs = {}
+        for flag in ([], ["--unlabeled-as-community"]):
+            out = tmp_path / f"out{len(flag)}"
+            rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                           "--truth", str(tmp_path / "truth.csv"), "--repetitions", "2",
+                           *flag, "--out", str(out)])
+            assert rc == 0
+            runs[bool(flag)] = read_csv(out / "metrics.csv")
+        assert runs[True][0]["nmi"] == ""
+        # every labeled node of snapshot 1 is present, so the flag changes nothing
+        assert runs[True] == runs[False]
+        assert runs[True][-1]["nmi"] == "0.5897275217561566±0.0"
+
     @pytest.mark.parametrize("width", ["nan", "inf"])
     def test_non_finite_window_exits_one(self, tmp_path, capsys, width):
         edge_file = tmp_path / "edges.txt"
@@ -301,13 +321,15 @@ class TestFloatSums:
         assert rc == 0
 
 
-# sha256 of every output file of two fixed `dgt run` invocations on the
-# module fixture.  Any change to an output byte fails here, in place of
-# hand-run digest comparisons; a deliberate model change must update these
-# pins and say in CHANGES.md why the bytes moved.
+# sha256 of every output file of four fixed `dgt run` invocations on the
+# module fixture, one per variant.  Any change to an output byte fails here,
+# in place of hand-run digest comparisons; a deliberate model change must
+# update these pins and say in CHANGES.md why the bytes moved.
 GOLDEN_ARGS = {
     "dgt": ["--variant", "dgt", "--gain", "similarity", "--diagnostics"],
     "dgtp": ["--variant", "dgtp", "--gain", "modularity", "--undirected"],
+    "dgts": ["--variant", "dgts", "--gain", "similarity"],
+    "dgtg": ["--variant", "dgtg", "--seed-fraction", "0.3", "--gain", "modularity"],
 }
 GOLDEN_DIGESTS = {
     "dgt": {
@@ -335,6 +357,26 @@ GOLDEN_DIGESTS = {
         "communities_t2_rep0.csv": "8d4160ffd593fb73bfd91dcd555b818d0e6b09eb3566a817a8364d15852f3040",
         "communities_t2_rep1.csv": "8d4160ffd593fb73bfd91dcd555b818d0e6b09eb3566a817a8364d15852f3040",
         "metrics.csv": "c17ea87c9882b2bcfcbbc25df290d8f6d831da003ecc9e7f2d8f0f679750daf2",
+    },
+    "dgts": {
+        "churn.csv": "82ae105dc9bfe5f9bbde56ecde2ac493c57ca98bf270cc83d49ff4ff2fd0ccd5",
+        "communities_t0_rep0.csv": "122c71ba93a4fa030fb9b09fbe1eae728d66f90c4f258aeeaba1256718a568cb",
+        "communities_t0_rep1.csv": "51bdbd9303b412f3233edc4eb23df9fffd392e7a306751429b47edb3e0fcfcb7",
+        "communities_t1_rep0.csv": "435627971a0fb380fbf634abf15b348ad9bc22f8fd71e310657ae9d50a776c71",
+        "communities_t1_rep1.csv": "3004908555a7dcb228d26ef8b72be0f7209e568bb2f2a7d415ab2cc50e6f841c",
+        "communities_t2_rep0.csv": "bdd6c90beb4e1cd8c30d14b8c8fa52da07dabad17f26a5bd052d17e22674998a",
+        "communities_t2_rep1.csv": "d07ef91a33454a27c438fdb99f470b00c1286156c6c09ddfff7c53c157724fd0",
+        "metrics.csv": "e01391b094d1fe306913342a79b86f071e57dc833dc8ba133f4c9207dcb10385",
+    },
+    "dgtg": {
+        "churn.csv": "82ae105dc9bfe5f9bbde56ecde2ac493c57ca98bf270cc83d49ff4ff2fd0ccd5",
+        "communities_t0_rep0.csv": "211e1ae2884530cc83e7d1e6536607404eb155c4a319c523b9eda62dd09cf5fd",
+        "communities_t0_rep1.csv": "211e1ae2884530cc83e7d1e6536607404eb155c4a319c523b9eda62dd09cf5fd",
+        "communities_t1_rep0.csv": "6d7e1734c8979336c820391e823c3e83bb06e06d79ef05d7042d7325a9af7c38",
+        "communities_t1_rep1.csv": "6d7e1734c8979336c820391e823c3e83bb06e06d79ef05d7042d7325a9af7c38",
+        "communities_t2_rep0.csv": "0cb314bd42a2524a465dd7bb3627b52f6c88132711f3d99e3831ea760a6d47d6",
+        "communities_t2_rep1.csv": "64869808aba9e03dd3ed73c88b330e0eb30124d34c472a299283078c21768481",
+        "metrics.csv": "a6447acb0c1a52b87313ab2e34f09450027805851ee353c51fb92c6e235076d4",
     },
 }
 

@@ -348,13 +348,13 @@ class TestRunSnapshot:
 
     def test_pass_accounting(self, two_cliques):
         init = CommunityStructure.from_singletons(two_cliques.nodes)
-        _, result = run_snapshot(two_cliques, init, GameConfig(rng_seed=1))
+        structure, result = run_snapshot(two_cliques, init, GameConfig(rng_seed=1))
         n = two_cliques.n
         assert result.games_played == result.passes_used * n
         assert result.games_played <= 8 * n
         assert sum(result.actions_taken.values()) == result.games_played
         assert len(result.utility_trace) == result.passes_used
-        assert result.memberships.keys() == set(two_cliques.nodes)
+        assert structure.memberships.keys() == set(two_cliques.nodes)
 
     def test_audit_clean_after_runs(self):
         rng = np.random.default_rng(23)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgt.errors import ConfigError, FormatError, PreconditionError
-from dgt.game_engine import GameConfig, SnapshotResult, run_snapshot
+from dgt.game_engine import GameConfig, run_snapshot
 from dgt.initialization import (
     GroundTruth,
     VariantKind,
@@ -15,15 +15,6 @@ from dgt.initialization import (
 from dgt.snapshot_graph import SnapshotGraph, load_edge_stream, read_edge_list
 
 from oracles import random_digraph
-
-
-def fake_result(memberships: dict) -> SnapshotResult:
-    return SnapshotResult(
-        partition={v: min(ks) for v, ks in memberships.items() if ks},
-        actions_taken={},
-        utility_trace=[],
-        memberships={v: frozenset(ks) for v, ks in memberships.items()},
-    )
 
 
 class TestVariantKind:
@@ -63,10 +54,7 @@ class TestSingletons:
 class TestCarryover:
     def test_dgt_union_across_history(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 0)])
-        history = [
-            fake_result({0: {3}, 1: {3}}),
-            fake_result({0: {7}, 1: {7}}),
-        ]
+        history = [{0: {3}, 1: {3}}, {0: {7}, 1: {7}}]
         st = init_structure(VariantKind("dgt"), 2, history, g, next_id=10)
         assert st.memberships[0] == {3, 7}
         assert st.memberships[1] == {3, 7}
@@ -74,16 +62,13 @@ class TestCarryover:
 
     def test_dgtp_uses_only_previous(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 0)])
-        history = [
-            fake_result({0: {3}, 1: {3}}),
-            fake_result({0: {7}, 1: {7}}),
-        ]
+        history = [{0: {3}, 1: {3}}, {0: {7}, 1: {7}}]
         st = init_structure(VariantKind("dgtp"), 2, history, g, next_id=10)
         assert st.memberships[0] == {7}
 
     def test_dgtp_equals_dgt_with_single_history(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)])
-        history = [fake_result({0: {2}, 1: {2}, 2: {1}})]
+        history = [{0: {2}, 1: {2}, 2: {1}}]
         a = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
         b = init_structure(VariantKind("dgtp"), 1, history, g, next_id=5)
         assert a.memberships == b.memberships
@@ -91,7 +76,7 @@ class TestCarryover:
 
     def test_new_nodes_get_singletons(self):
         g = SnapshotGraph.from_edges([(0, 1), (2, 0)])
-        history = [fake_result({0: {4}, 1: {4}})]
+        history = [{0: {4}, 1: {4}}]
         st = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
         assert st.memberships[2] == {5}
         assert st.next_id == 6
@@ -99,7 +84,7 @@ class TestCarryover:
     def test_departed_nodes_filtered(self):
         # node 9 vanished from the snapshot; its labels must not appear
         g = SnapshotGraph.from_edges([(0, 1)])
-        history = [fake_result({0: {3}, 9: {3, 4}})]
+        history = [{0: {3}, 9: {3, 4}}]
         st = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
         assert set(st.communities) == {3, 5}
         assert st.communities[3] == [0]
@@ -108,14 +93,15 @@ class TestCarryover:
     def test_history_length_checked(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         with pytest.raises(PreconditionError):
-            init_structure(VariantKind("dgt"), 2, [fake_result({0: {1}})], g, next_id=2)
+            init_structure(VariantKind("dgt"), 2, [{0: {1}}], g, next_id=2)
 
     def test_run_snapshot_accepts_carryover(self):
         rng = np.random.default_rng(31)
         g = random_digraph(rng, 12)
         st0 = init_structure(VariantKind("dgts"), 0, [], g)
-        evolved, res = run_snapshot(g, st0, GameConfig(rng_seed=0))
-        st1 = init_structure(VariantKind("dgt"), 1, [res], g, next_id=evolved.next_id)
+        evolved, _ = run_snapshot(g, st0, GameConfig(rng_seed=0))
+        st1 = init_structure(VariantKind("dgt"), 1, [evolved.memberships], g,
+                             next_id=evolved.next_id)
         assert st1.audit() == []
 
 

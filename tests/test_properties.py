@@ -204,11 +204,11 @@ def test_trace_off_plays_the_same_game(gain, data, seed):
     g, initial = data.draw(graph_and_structure())
     ctx = GainContext(g)
     runs = [run_snapshot(g, initial, GameConfig(gain=gain, rng_seed=seed, trace=trace),
-                         ctx=ctx)[1] for trace in (True, False)]
-    traced, plain = runs
+                         ctx=ctx) for trace in (True, False)]
+    (traced_structure, traced), (plain_structure, plain) = runs
     assert plain.utility_trace == [] and len(traced.utility_trace) == traced.passes_used
-    for field in ("partition", "memberships", "passes_used", "changed_trace",
-                  "actions_taken", "games_played"):
+    assert plain_structure.memberships == traced_structure.memberships
+    for field in ("partition", "passes_used", "changed_trace", "actions_taken", "games_played"):
         assert getattr(plain, field) == getattr(traced, field), field
 
 

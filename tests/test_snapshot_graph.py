@@ -17,7 +17,6 @@ from dgt.snapshot_graph import (
     churn_rows,
     diff,
     load_edge_stream,
-    parse_edge_file,
     parse_node_file,
     read_edge_list,
     write_churn_report,
@@ -260,34 +259,35 @@ class TestEdgeFileParsing:
         path = tmp_path / "e.txt"
         path.write_text("a b zero\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            parse_edge_file(path)
+            read_edge_list(path)
 
     def test_too_few_columns(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("a b\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            parse_edge_file(path)
+            read_edge_list(path)
 
     def test_window_bucketing(self, tmp_path):
         path = tmp_path / "e.txt"
         # timestamps 0, 30, 100: windows of 60s -> buckets 0, 0, 1
         path.write_text("a b 0\nb c 30\nc a 100\n", encoding="utf-8")
-        records = parse_edge_file(path, snapshot_by="window:60")
-        assert [t for _, _, t in records] == [0, 0, 1]
+        seq = read_edge_list(path, snapshot_by="window:60")
+        assert seq.ordinals == [0, 1]
+        assert [g.m for g in seq.snapshots] == [2, 1]
 
     def test_window_with_explicit_snapshot_column(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("a b 9 0\nb c 9 120\n", encoding="utf-8")
-        records = parse_edge_file(path, snapshot_by="window:60")
-        assert [t for _, _, t in records] == [0, 2]
+        seq = read_edge_list(path, snapshot_by="window:60")
+        assert seq.ordinals == [0, 2]
 
     def test_bad_window_mode(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("a b 0\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            parse_edge_file(path, snapshot_by="window:abc")
+            read_edge_list(path, snapshot_by="window:abc")
         with pytest.raises(FormatError):
-            parse_edge_file(path, snapshot_by="bogus")
+            read_edge_list(path, snapshot_by="bogus")
 
     def test_short_line_reported_before_earlier_bad_ordinal(self, tmp_path):
         path = tmp_path / "e.txt"
