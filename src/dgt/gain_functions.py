@@ -14,9 +14,10 @@ an edge or a common neighbor leave the last branch, so a GainContext costs
 O(n+m) to build: it keeps the degree vectors and builds each agent's
 sparse kernel row on first use, keeping it for later turns.  A row is a
 plain dict holding only those pairs; `similarity()` and each member walk
-of `_MoveScorer` compute any other pair's null-model value from the
-degrees when they read it, so kernel memory does not grow with the pairs
-the game scores.
+of `_MoveScorer` read any other pair's null-model value from a table kept
+per in-degree, `GainContext.null_row(d_in)[d_out]`, so kernel memory does
+not grow with the pairs the game scores: the tables hold at most (distinct
+in-degrees) x (max out-degree + 1) floats.
 
 The similarity gain of an agent sums the kernel over the union of its
 co-members: each node sharing at least one community with the agent
@@ -42,6 +43,7 @@ types live here because `utility_delta` dispatches on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 from .errors import EmptyGraphError, PreconditionError
@@ -89,7 +91,9 @@ class GainContext:
     nodes sharing one of its out-neighbours: at most its out-degree plus
     the in-degrees of its out-neighbours, so all rows together hold at
     most m plus the sum of squared in-degrees, whatever pairs the game
-    scores.  Safe to share across repeated runs on the same snapshot.
+    scores.  Null-model values come from `null_row`, one table per
+    distinct in-degree of the agents read, each max out-degree + 1 floats
+    long.  Safe to share across repeated runs on the same snapshot.
     """
 
     # Always False: bench/spans.py reads it for gain_functions.dense_contexts.
@@ -119,6 +123,28 @@ class GainContext:
         if row is None:
             row = self._rows[agent] = self._build_row(agent)
         return row
+
+    def null_row(self, d_in: int) -> list[float]:
+        """`null_row(d_in)[d]` is -(d_in * d) / (4m), the null-model kernel
+        value of a pair (i, j) with in-degree d_in at i and out-degree d at
+        j: the value of every pair a kernel row lacks.  Built on first use
+        per in-degree and kept."""
+        row = self._null_rows.get(d_in)
+        if row is None:
+            fourm = self.fourm
+            row = self._null_rows[d_in] = [-(d_in * d) / fourm
+                                           for d in range(self._max_d_out + 1)]
+        return row
+
+    # set on first use rather than in __init__, so building a context costs
+    # no more when no null value is read
+    @cached_property
+    def _null_rows(self) -> dict[int, list[float]]:
+        return {}
+
+    @cached_property
+    def _max_d_out(self) -> int:
+        return max(self.d_out)
 
     def _build_row(self, i: int) -> dict[int, float]:
         g = self.graph
@@ -158,8 +184,7 @@ def similarity(ctx: GainContext, i: int, j: int) -> float:
         raise PreconditionError("similarity requires i != j")
     if not ctx.graph.has_node(i) or not ctx.graph.has_node(j):
         raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
-    c = ctx.kernel_row(i).get(j)
-    return c if c is not None else -(ctx.d_in[i] * ctx.d_out[j]) / ctx.fourm
+    return ctx.kernel_row(i).get(j, ctx.null_row(ctx.d_in[i])[ctx.d_out[j]])
 
 
 def _check_gain(gain: str) -> None:
@@ -215,13 +240,14 @@ class _MoveScorer:
     a held community need no `j != agent` test, and a join target (a
     community the agent is not in) is walked with `j not in cnt` alone.
 
-    Each similarity walk reads kernel values with `row.get(j)` and
-    computes the null-model term of a pair the sparse row does not hold
-    inline, from the agent's in-degree and j's out-degree.
+    Each similarity walk reads kernel values with
+    `row.get(j, null[d_out[j]])`: a pair the sparse row does not hold
+    takes its null-model value from the context's table for the agent's
+    in-degree (`GainContext.null_row`).
     """
 
     __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
-                 "join_loss", "leave_loss", "cnt", "row", "d_in_agent", "raw")
+                 "join_loss", "leave_loss", "cnt", "row", "null", "raw")
 
     def __init__(self, ctx: GainContext, agent: int, structure, gain: str, held=None):
         self.ctx = ctx
@@ -247,7 +273,7 @@ class _MoveScorer:
                     cnt[j] = cnt.get(j, 0) + 1
             cnt.pop(agent, None)
             self.row = ctx.kernel_row(agent)
-            self.d_in_agent = ctx.d_in[agent]
+            self.null = ctx.null_row(ctx.d_in[agent])
         else:
             self.norm = ctx.twom
         self.raw: dict[int, float] = {}
@@ -260,10 +286,9 @@ class _MoveScorer:
         # not sum(): its float rounding changed in Python 3.12
         total = 0.0
         if self.similarity:
-            get, d_in, d_out, fourm = self.row.get, self.d_in_agent, self.ctx.d_out, self.ctx.fourm
+            get, null, d_out = self.row.get, self.null, self.ctx.d_out
             for j in self.cnt:
-                c = get(j)
-                total += c if c is not None else -(d_in * d_out[j]) / fourm
+                total += get(j, null[d_out[j]])
         else:
             for k in sorted(self.held):
                 total += self._raw_gain(k)
@@ -282,18 +307,20 @@ class _MoveScorer:
         if raw is None:
             raw = 0.0
             if self.similarity:
-                cnt, ctx = self.cnt, self.ctx
-                get, d_in, d_out, fourm = self.row.get, self.d_in_agent, ctx.d_out, ctx.fourm
-                if k in self.held:
-                    for j in self.structure.communities[k]:
-                        if cnt.get(j) == 1:
-                            c = get(j)
-                            raw += c if c is not None else -(d_in * d_out[j]) / fourm
-                else:
+                cnt = self.cnt
+                get, null, d_out = self.row.get, self.null, self.ctx.d_out
+                if k not in self.held:
                     for j in self.structure.communities[k]:
                         if j not in cnt:
-                            c = get(j)
-                            raw += c if c is not None else -(d_in * d_out[j]) / fourm
+                            raw += get(j, null[d_out[j]])
+                elif len(self.held) == 1:
+                    # cnt is k's members less the agent, in member order
+                    for j in cnt:
+                        raw += get(j, null[d_out[j]])
+                else:
+                    for j in self.structure.communities[k]:
+                        if cnt.get(j) == 1:
+                            raw += get(j, null[d_out[j]])
             else:
                 agent, ctx = self.agent, self.ctx
                 out = ctx.graph.out_adj[agent]
@@ -321,16 +348,19 @@ class _MoveScorer:
             return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
         # k_in's members count as gained when no held community other
         # than k_out covers them
-        cnt, ctx = self.cnt, self.ctx
-        get, d_in, d_out, fourm = self.row.get, self.d_in_agent, ctx.d_out, ctx.fourm
-        memberships = self.structure.memberships
+        cnt = self.cnt
         lost = self._raw_gain(k_out)
+        members = self.structure.communities[k_in]
+        if cnt.keys().isdisjoint(members):
+            # no held community covers a member: the join walk's sum
+            return (self._raw_gain(k_in) - lost) / self.norm
+        get, null, d_out = self.row.get, self.null, self.ctx.d_out
+        memberships = self.structure.memberships
         gained = 0.0
-        for j in self.structure.communities[k_in]:
+        for j in members:
             covered = cnt.get(j, 0) - (1 if k_out in memberships[j] else 0)
             if covered == 0:
-                c = get(j)
-                gained += c if c is not None else -(d_in * d_out[j]) / fourm
+                gained += get(j, null[d_out[j]])
         return (gained - lost) / self.norm
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -230,12 +231,9 @@ class SnapshotResult:
 def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStructure, held) -> list[int]:
     """Join targets: communities hosting at least one in- or out-neighbor,
     excluding the agent's `held` communities."""
-    g = ctx.graph
-    seen: set[int] = set()
-    for v in g.out_adj[agent]:
-        seen.update(structure.memberships.get(v, ()))
-    for v in g.in_adj[agent]:
-        seen.update(structure.memberships.get(v, ()))
+    g, get = ctx.graph, structure.memberships.get
+    seen = set().union(*map(get, g.out_adj[agent], repeat(())),
+                       *map(get, g.in_adj[agent], repeat(())))
     return sorted(seen - held)
 
 
@@ -368,7 +366,8 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     stop_reason = "pass_cap"
 
     for _ in range(config.max_passes):
-        order = rng.permutation(n)
+        # plain ints: indexing a tuple with a numpy scalar is slower
+        order = rng.permutation(n).tolist()
         changed = 0
         for idx in order:
             agent = agents[idx]

@@ -376,7 +376,8 @@ def write_edge_list(seq: SnapshotSequence, path) -> None:
 
 def churn_rows(seq: SnapshotSequence) -> list[tuple[int, int, int, int]]:
     """One (t, e_plus, e_minus, n_changed) row per consecutive snapshot
-    pair; t is the ordinal of the later snapshot."""
+    pair; t is the dense index of the later snapshot (its position in
+    `seq.snapshots`), not its input ordinal."""
     rows = []
     for t in range(1, seq.num_snapshots):
         stats = diff(seq.snapshots[t - 1], seq.snapshots[t])

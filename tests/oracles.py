@@ -97,6 +97,74 @@ def contribution_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
     return total
 
 
+class SimilarityWalksOracle:
+    """The similarity move scorer's member walks as plain loops that compute
+    each null-model value inline, -(d_in[agent] * d_out[j]) / (4m), for a
+    pair the sparse kernel row lacks, and walk k_in for every switch.
+
+    Kept as the exact reference for `_MoveScorer`, which reads null values
+    from a per-in-degree table and takes shortcuts for a disjoint switch and
+    a one-label leave: both must add the same floats in the same order, so
+    the results must be equal bit for bit.  Reads the context's sparse
+    kernel rows and degrees, which are checked against `similarity_oracle`
+    on their own.
+    """
+
+    def __init__(self, ctx, agent: int, structure):
+        self.ctx = ctx
+        self.agent = agent
+        self.communities = structure.communities
+        self.memberships = structure.memberships
+        self.held = structure.memberships.get(agent, frozenset())
+        # coverage counts in first-seen order over ascending labels and members
+        self.cnt: dict[int, int] = {}
+        for k in sorted(self.held):
+            for j in self.communities[k]:
+                self.cnt[j] = self.cnt.get(j, 0) + 1
+        self.cnt.pop(agent, None)
+
+    def kernel(self, j: int) -> float:
+        ctx = self.ctx
+        c = ctx.kernel_row(self.agent).get(j)
+        return c if c is not None else -(ctx.d_in[self.agent] * ctx.d_out[j]) / ctx.fourm
+
+    def raw_total(self) -> float:
+        total = 0.0
+        for j in self.cnt:
+            total += self.kernel(j)
+        return total
+
+    def raw_join(self, k: int) -> float:
+        raw = 0.0
+        for j in self.communities[k]:
+            if j not in self.cnt:
+                raw += self.kernel(j)
+        return raw
+
+    def raw_leave(self, k: int) -> float:
+        raw = 0.0
+        for j in self.communities[k]:
+            if self.cnt.get(j) == 1:
+                raw += self.kernel(j)
+        return raw
+
+    def join(self, k: int) -> float:
+        m, n = self.ctx.m, len(self.held)
+        return self.raw_join(k) / m - ((n + 1) / m - n / m)
+
+    def leave(self, k: int) -> float:
+        m, n = self.ctx.m, len(self.held)
+        return -(self.raw_leave(k) / m) - ((n - 1) / m - n / m)
+
+    def switch(self, k_out: int, k_in: int) -> float:
+        gained = 0.0
+        for j in self.communities[k_in]:
+            covered = self.cnt.get(j, 0) - (1 if k_out in self.memberships[j] else 0)
+            if covered == 0:
+                gained += self.kernel(j)
+        return (gained - self.raw_leave(k_out)) / self.ctx.m
+
+
 def modularity_directed_oracle(g: SnapshotGraph, p: dict) -> float:
     """Literal double loop over all ordered node pairs, i == j included."""
     m = g.m

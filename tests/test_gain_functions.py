@@ -138,6 +138,26 @@ class TestSimilarityKernel:
         assert held <= 350 * edges
 
 
+    def test_null_rows_are_built_on_first_read_only(self):
+        g = SnapshotGraph.from_edges([(0, 1), (0, 2), (1, 2)])
+        ctx = GainContext(g)
+        assert "_null_rows" not in vars(ctx)
+        assert ctx.null_row(1) is ctx.null_row(1)
+        assert ctx._null_rows.keys() == {1}
+
+    def test_contexts_hold_one_null_row_per_in_degree_after_a_repetition(self):
+        seq, _ = generate(SynthConfig(communities=4, community_size=10, p_in=0.6,
+                                      p_out=0.02, churn=0.1, num_snapshots=3, rng_seed=5))
+        contexts = [GainContext(g) for g in seq.snapshots]
+        run_repetition(seq, VariantKind("dgt"), GameConfig(max_passes=2, trace=False),
+                       contexts=contexts)
+        for g, ctx in zip(seq.snapshots, contexts):
+            in_degrees = {len(g.in_adj[v]) for v in g.nodes}
+            width = max(len(g.out_adj[v]) for v in g.nodes) + 1
+            assert ctx._null_rows and ctx._null_rows.keys() <= in_degrees
+            assert all(len(row) == width for row in ctx._null_rows.values())
+
+
 class TestGainSimilarity:
     def test_empty_labels(self):
         g = SnapshotGraph.from_edges([(0, 1)])

@@ -4,13 +4,14 @@ edge-list files."""
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgt import cli
 from dgt.errors import FormatError
-from dgt.gain_functions import GainContext, similarity, utility_delta
+from dgt.gain_functions import GainContext, _MoveScorer, similarity, utility_delta
 from dgt.game_engine import (
     CommunityStructure,
     GameConfig,
@@ -26,10 +27,13 @@ from dgt.game_engine import (
 from dgt.snapshot_graph import SnapshotGraph, load_edge_stream, read_edge_list, write_edge_list
 
 from oracles import (
+    SimilarityWalksOracle,
     contribution_oracle,
     from_edges_oracle,
     load_edge_stream_oracle,
     parse_edge_file_oracle,
+    random_digraph,
+    random_structure,
     similarity_oracle,
     sparse_pairs_oracle,
     utility_oracle,
@@ -84,6 +88,70 @@ def test_null_model_pairs_are_read_but_not_stored(g):
             if j != i and j not in sparse:
                 assert similarity(ctx, i, j) == similarity_oracle(g, i, j)
         assert len(row) == len(sparse)
+
+
+@PROPERTY_SETTINGS
+@given(digraphs())
+def test_null_rows_equal_the_inline_formula(g):
+    # repr: a zero product must read 0.0, as the inline formula does
+    ctx = GainContext(g)
+    width = max(len(g.out_adj[v]) for v in g.nodes) + 1
+    for d in {0, *(len(g.in_adj[v]) for v in g.nodes)}:
+        row = ctx.null_row(d)
+        assert len(row) == width
+        assert [repr(v) for v in row] == [repr(-(d * k) / ctx.fourm) for k in range(width)]
+        assert repr(row[0]) == "0.0"
+    assert {repr(v) for v in ctx.null_row(0)} == {"0.0"}
+
+
+def assert_moves_equal_loop_walks(ctx, agent, structure) -> set[tuple[str, str]]:
+    """Check every similarity move score and the raw total of `agent`
+    against the loop reference, by repr; return the (label count, k_in
+    overlap) cases its switches met."""
+    ref = SimilarityWalksOracle(ctx, agent, structure)
+    held = sorted(ref.held)
+    open_ids = sorted(set(structure.communities) - set(held))
+    score = _MoveScorer(ctx, agent, structure, "similarity")
+    assert repr(score.raw_total()) == repr(ref.raw_total())
+    for k in open_ids:
+        assert repr(score.join(k)) == repr(ref.join(k))
+    for k in held:
+        assert repr(score.leave(k)) == repr(ref.leave(k))
+    labels = "one-label" if len(held) == 1 else "multi-label"
+    cases = set()
+    for k_out in held:
+        for k_in in open_ids:
+            overlap = "disjoint" if ref.cnt.keys().isdisjoint(structure.communities[k_in]) \
+                else "overlapping"
+            cases.add((labels, overlap))
+            expected = repr(ref.switch(k_out, k_in))
+            # once after both legs were walked, once on a fresh scorer
+            assert repr(score.switch(k_out, k_in)) == expected
+            fresh = _MoveScorer(ctx, agent, structure, "similarity")
+            assert repr(fresh.switch(k_out, k_in)) == expected
+    return cases
+
+
+@PROPERTY_SETTINGS
+@given(graph_and_structure())
+def test_move_scores_equal_the_loop_walks(case):
+    g, structure = case
+    ctx = GainContext(g)
+    for agent in g.nodes:
+        assert_moves_equal_loop_walks(ctx, agent, structure)
+
+
+def test_loop_walk_comparison_meets_every_switch_case():
+    rng = np.random.default_rng(16)
+    cases = set()
+    for _ in range(30):
+        g = random_digraph(rng, 10, p=0.3)
+        structure = random_structure(rng, g)
+        ctx = GainContext(g)
+        for agent in g.nodes:
+            cases |= assert_moves_equal_loop_walks(ctx, agent, structure)
+    assert cases == {(labels, overlap) for labels in ("one-label", "multi-label")
+                     for overlap in ("disjoint", "overlapping")}
 
 
 @pytest.mark.parametrize("gain", ["similarity", "modularity"])
