@@ -14,7 +14,6 @@ Carrying prior structure should match or beat the cold restart.
 import numpy as np
 
 from dgt import (
-    GainContext,
     GameConfig,
     SynthConfig,
     VariantKind,
@@ -29,17 +28,15 @@ sequence, truth = generate(config)
 print(f"benchmark: {config.n} nodes, {config.num_snapshots} snapshots, "
       f"edges per snapshot {[g.m for g in sequence.snapshots]}")
 
-contexts = [GainContext(g) for g in sequence.snapshots]
 game = GameConfig(gain="similarity")
 
 for kind in ("dgts", "dgtp", "dgt"):
     per_seed = []
-    for seed in range(10):
-        outcomes = run_repetition(sequence, VariantKind(kind), game,
-                                  truth=truth, repetition=seed, contexts=contexts)
-        scores = [evaluate_outcome(sequence, o, truth)[0] for o in outcomes]
+    for results in run_repetition(sequence, VariantKind(kind), game,
+                                  truth=truth, repetitions=range(10)):
+        scores = [evaluate_outcome(sequence, t, r, truth)[0] for t, r in enumerate(results)]
         per_seed.append(np.mean(scores))
-    counts = [o.n_communities for o in outcomes]
+    counts = [r.n_communities for r in results]
     print(f"{kind:5s} mean NMI over 10 seeds: {np.mean(per_seed):.4f} "
           f"(last-seed community counts {counts}, truth "
           f"{[truth.community_count(t) for t in range(config.num_snapshots)]})")

@@ -9,7 +9,6 @@ improves recovery.
 import numpy as np
 
 from dgt import (
-    GainContext,
     GameConfig,
     SynthConfig,
     VariantKind,
@@ -23,16 +22,14 @@ from dgt import (
 config = SynthConfig(communities=4, community_size=25, p_in=0.15, p_out=0.03,
                      churn=0.15, num_snapshots=4, rng_seed=1)
 sequence, truth = generate(config)
-contexts = [GainContext(g) for g in sequence.snapshots]
 game = GameConfig(gain="similarity")
 
 print("fraction  nmi_mean  nmi_std")
 for fraction in (0.0, 0.1, 0.2, 0.3, 0.5):
     per_seed = []
-    for seed in range(8):
-        variant = VariantKind("dgtg", seed_fraction=fraction)
-        outcomes = run_repetition(sequence, variant, game, truth=truth,
-                                  repetition=seed, contexts=contexts)
-        scores = [evaluate_outcome(sequence, o, truth)[0] for o in outcomes]
+    variant = VariantKind("dgtg", seed_fraction=fraction)
+    for results in run_repetition(sequence, variant, game, truth=truth,
+                                  repetitions=range(8)):
+        scores = [evaluate_outcome(sequence, t, r, truth)[0] for t, r in enumerate(results)]
         per_seed.append(np.mean(scores))
     print(f"{fraction:8.1f}  {np.mean(per_seed):.4f}    {np.std(per_seed, ddof=1):.4f}")

@@ -42,6 +42,7 @@ from .game_engine import (
 from .initialization import (
     GroundTruth,
     VariantKind,
+    carry,
     init_structure,
     load_ground_truth,
     write_ground_truth,
@@ -95,6 +96,7 @@ __all__ = [
     "UtilityBreakdown",
     "VariantKind",
     "best_response",
+    "carry",
     "churn_rows",
     "count_error",
     "derive_seeds",

@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import AuditError, DgtError
-from .gain_functions import GAIN_KINDS, GainContext
+from .gain_functions import GAIN_KINDS, GainContext  # noqa: F401 (bench/spans.py wraps it)
 from .game_engine import GameConfig
 from .initialization import VARIANT_KINDS, GroundTruth, VariantKind, load_ground_truth
 from .metrics import _mean_std, _sum_floats, write_metrics_report
@@ -128,14 +128,13 @@ def _make_config(args, trace: bool) -> GameConfig:
                       trace=trace)
 
 
-def _rep_rows(seq, config, truth, undirected, unlabeled, contexts, variant, rep):
-    """(outcome, nmi, modularity, true count) per snapshot of one repetition;
-    `contexts` None builds each snapshot's GainContext in the repetition."""
-    outcomes = run_repetition(seq, variant, config, truth=truth, repetition=rep,
-                              contexts=contexts)
-    return [(outcome, *evaluate_outcome(seq, outcome, truth=truth, undirected=undirected,
+def _rep_rows(seq, config, truth, undirected, unlabeled, variant, reps):
+    """For each repetition in `reps`, its (result, nmi, modularity, true
+    count) per snapshot."""
+    return [[(result, *evaluate_outcome(seq, t, result, truth=truth, undirected=undirected,
                                         unlabeled_as_community=unlabeled))
-            for outcome in outcomes]
+             for t, result in enumerate(results)]
+            for results in run_repetition(seq, variant, config, truth=truth, repetitions=reps)]
 
 
 # The leading `_rep_rows` arguments of a --jobs pool worker, set once when
@@ -148,8 +147,8 @@ def _init_worker(*fixed):
     _worker_fixed = fixed
 
 
-def _worker_rep_rows(variant, rep):
-    return _rep_rows(*_worker_fixed, None, variant, rep)
+def _worker_rep_rows(variant, reps):
+    return _rep_rows(*_worker_fixed, variant, reps)
 
 
 def _run_all_reps(seq, variants, config, truth, args):
@@ -157,8 +156,8 @@ def _run_all_reps(seq, variants, config, truth, args):
     then warns once if any of the games stopped at the pass cap.
 
     With --jobs one process pool serves every variant: its workers get the
-    fixed arguments once, and a task carries only the variant and the rep.
-    Without it, one GainContext per snapshot serves every repetition.
+    fixed arguments once, and a task carries only the variant and one rep.
+    Without it, one task plays every repetition snapshot by snapshot.
     """
     fixed = (seq, config, truth, args.undirected, args.unlabeled_as_community)
     reps = range(args.repetitions)
@@ -167,17 +166,18 @@ def _run_all_reps(seq, variants, config, truth, args):
     if jobs > 1:
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                    initargs=fixed)
-        play, rep_rows = pool.map, _worker_rep_rows
+        play, rep_rows, tasks = pool.map, _worker_rep_rows, [[rep] for rep in reps]
     else:
         pool, play = contextlib.nullcontext(), map
-        rep_rows = partial(_rep_rows, *fixed, [GainContext(g) for g in seq.snapshots])
+        rep_rows, tasks = partial(_rep_rows, *fixed), [reps]
     games = capped = 0
     with pool:
         for variant in variants:
-            per_rep = list(play(partial(rep_rows, variant), reps))
+            per_rep = [rows for task in play(partial(rep_rows, variant), tasks)
+                       for rows in task]
             for rows in per_rep:
                 games += len(rows)
-                capped += sum(outcome.result.stop_reason == "pass_cap" for outcome, *_ in rows)
+                capped += sum(result.stop_reason == "pass_cap" for result, *_ in rows)
             yield per_rep
     if capped:
         logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
@@ -210,19 +210,18 @@ def cmd_run(args) -> int:
     [per_rep] = _run_all_reps(seq, [variant], config, truth, args)
 
     for rep, rows in enumerate(per_rep):
-        for outcome, *_ in rows:
-            write_csv(out_dir / f"communities_t{outcome.t}_rep{rep}.csv",
+        for t, (result, *_) in enumerate(rows):
+            write_csv(out_dir / f"communities_t{t}_rep{rep}.csv",
                       ["node_label", "community_id"],
-                      [(seq.label_of(v), k) for v, k in sorted(outcome.result.partition.items())])
+                      [(seq.label_of(v), k) for v, k in sorted(result.partition.items())])
             if args.diagnostics:
-                _write_diagnostics(out_dir / f"diagnostics_t{outcome.t}_rep{rep}.csv",
-                                   outcome.result)
+                _write_diagnostics(out_dir / f"diagnostics_t{t}_rep{rep}.csv", result)
 
     report_rows = []
     # zip(*per_rep) gives each snapshot's rows across the repetitions
     for t, snapshot_rows in enumerate(zip(*per_rep)):
-        outcomes, nmis, mods, n_trues = zip(*snapshot_rows)
-        report_rows.append((t, _mean(o.n_communities for o in outcomes), n_trues[0],
+        results, nmis, mods, n_trues = zip(*snapshot_rows)
+        report_rows.append((t, _mean(r.n_communities for r in results), n_trues[0],
                             _mean(nmis), _mean(mods)))
     write_metrics_report(out_dir / "metrics.csv", report_rows)
     write_churn_report(seq, out_dir / "churn.csv")

@@ -227,6 +227,10 @@ class SnapshotResult:
     def games_played(self) -> int:
         return sum(self.actions_taken.values())
 
+    @property
+    def n_communities(self) -> int:
+        return len(set(self.partition.values()))
+
 
 def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStructure, held) -> list[int]:
     """Join targets: communities hosting at least one in- or out-neighbor,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, PreconditionError
+from .errors import ConfigError, FormatError
 from .game_engine import CommunityStructure
 from .snapshot_graph import SnapshotGraph, SnapshotSequence, write_csv
 
@@ -70,7 +70,7 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
     snapshot_of = {t: k for k, t in enumerate(seq.ordinals)}
     skipped = 0
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -119,35 +119,36 @@ def write_ground_truth(truth: GroundTruth, seq: SnapshotSequence, path) -> None:
                for node, label in sorted(labels.items())])
 
 
-def init_structure(variant: VariantKind, t: int, history: list[dict[int, set[int]]],
+def carry(variant: VariantKind, carried: dict[int, set[int]],
+          evolved: dict[int, set[int]]) -> dict[int, set[int]]:
+    """The agent -> label-set map kept after a snapshot whose game ended with
+    the memberships `evolved`: for dgt `carried` with `evolved` united into
+    it in place, for dgtp `evolved` itself, for dgts and dgtg nothing."""
+    if variant.kind == "dgt":
+        for v, ks in evolved.items():
+            carried.setdefault(v, set()).update(ks)
+        return carried
+    return evolved if variant.kind == "dgtp" else {}
+
+
+def init_structure(variant: VariantKind, t: int, carried: dict[int, set[int]],
                    graph: SnapshotGraph, truth: GroundTruth | None = None,
                    rng: np.random.Generator | None = None,
                    next_id: int = 0) -> CommunityStructure:
     """Build the starting structure for snapshot `t`.
 
-    `history` holds the evolved memberships (agent -> label-set maps) of
-    snapshots 0..t-1 in order, as the structures `run_snapshot` returned
-    hold them.  dgts, dgt and dgtp start each node with the union of its
-    labels over the maps they carry (none, all, or the last one); a node
-    with no carried label gets a fresh singleton.  `next_id` continues the
-    run-wide community id counter so ids are never reused across snapshots.
+    dgts, dgt and dgtp start each node with its labels in `carried`, the
+    map `carry` kept (empty at t = 0); a node with none gets a fresh
+    singleton.  `next_id` continues the run-wide community id counter so
+    ids are never reused across snapshots.
     """
     nodes = graph.nodes
     if variant.kind == "dgtg" and truth is None:
         raise ConfigError("variant dgtg requires ground truth")
-    if variant.kind in ("dgt", "dgtp") and t > 0 and len(history) != t:
-        raise PreconditionError(f"history must have {t} entries, got {len(history)}")
 
     if variant.kind != "dgtg":
-        # dgtp's slice is empty at t = 0, like dgt's
-        carried = {"dgts": [], "dgt": history[:t], "dgtp": history[t - 1 : t]}[variant.kind]
-        union: dict[int, set[int]] = {}
-        for memberships in carried:
-            for v, ks in memberships.items():
-                if ks:
-                    union.setdefault(v, set()).update(ks)
         return CommunityStructure.from_memberships(
-            {v: union[v] for v in nodes if v in union}, next_id).fill_singletons(nodes)
+            {v: carried[v] for v in nodes if v in carried}, next_id).fill_singletons(nodes)
 
     # dgtg: seeded fresh at every snapshot with whole ground-truth
     # communities, picked in seeded random order until their member total

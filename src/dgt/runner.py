@@ -1,15 +1,15 @@
-"""Multi-snapshot orchestration: seed derivation, per-repetition runs,
-and metric evaluation shared by the CLI and the demo scripts."""
+"""Multi-snapshot orchestration: seed derivation, snapshot-major play of
+the repetitions, and metric evaluation shared by the CLI and the demos."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .gain_functions import GainContext
 from .game_engine import GameConfig, SnapshotResult, run_snapshot
-from .initialization import GroundTruth, VariantKind, init_structure
+from .initialization import GroundTruth, VariantKind, carry, init_structure
 from .metrics import modularity_directed, modularity_undirected, nmi
 from .snapshot_graph import SnapshotSequence
 
@@ -24,44 +24,36 @@ def derive_seeds(master_seed: int, repetition: int, t: int) -> tuple[int, int]:
     return int(game_seed), int(init_seed)
 
 
-@dataclass
-class SnapshotOutcome:
-    t: int
-    result: SnapshotResult
-
-    @property
-    def n_communities(self) -> int:
-        return len(set(self.result.partition.values()))
-
-
 def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConfig,
-                   truth: GroundTruth | None = None, repetition: int = 0,
-                   contexts: list[GainContext] | None = None) -> list[SnapshotOutcome]:
-    """Run every snapshot of `seq` in order, seeded from `config.rng_seed`.
+                   truth: GroundTruth | None = None,
+                   repetitions=range(1)) -> list[list[SnapshotResult]]:
+    """Play every snapshot of `seq` for each repetition number in
+    `repetitions`, seeded by `derive_seeds`; results are indexed [rep][t].
 
-    `contexts` may pass pre-built GainContexts (one per snapshot) to share
-    kernel caches across repetitions.
+    Snapshot t's one GainContext serves every repetition and is dropped
+    before snapshot t + 1 is built; between snapshots a repetition keeps
+    only its carried map (`initialization.carry`) and its id counter.
     """
-    history: list[dict[int, set[int]]] = []
-    outcomes: list[SnapshotOutcome] = []
-    next_id = 0
+    results = {rep: [] for rep in repetitions}
+    state = {rep: ({}, 0) for rep in results}
     for t, graph in enumerate(seq.snapshots):
-        ctx = contexts[t] if contexts is not None else GainContext(graph)
-        game_seed, init_seed = derive_seeds(config.rng_seed, repetition, t)
-        rng = np.random.Generator(np.random.PCG64(init_seed))
-        initial = init_structure(variant, t, history, graph, truth=truth,
-                                 rng=rng, next_id=next_id)
-        structure, result = run_snapshot(graph, initial, replace(config, rng_seed=game_seed), ctx=ctx)
-        next_id = structure.next_id
-        history.append(structure.memberships)
-        outcomes.append(SnapshotOutcome(t, result))
-    return outcomes
+        ctx = GainContext(graph)
+        for rep, (carried, next_id) in state.items():
+            game_seed, init_seed = derive_seeds(config.rng_seed, rep, t)
+            initial = init_structure(variant, t, carried, graph, truth=truth, next_id=next_id,
+                                     rng=np.random.Generator(np.random.PCG64(init_seed)))
+            structure, result = run_snapshot(graph, initial, replace(config, rng_seed=game_seed),
+                                             ctx=ctx)
+            state[rep] = carry(variant, carried, structure.memberships), structure.next_id
+            results[rep].append(result)
+        del ctx
+    return list(results.values())
 
 
-def evaluate_outcome(seq: SnapshotSequence, outcome: SnapshotOutcome,
+def evaluate_outcome(seq: SnapshotSequence, t: int, result: SnapshotResult,
                      truth: GroundTruth | None = None, undirected: bool = False,
                      unlabeled_as_community: bool = False):
-    """(nmi, modularity, true community count) for one snapshot outcome.
+    """(nmi, modularity, true community count) for snapshot `t`'s result.
 
     NMI compares against ground truth over the labeled nodes present in
     the snapshot, or over all nodes with unlabeled ones pooled into one
@@ -70,10 +62,10 @@ def evaluate_outcome(seq: SnapshotSequence, outcome: SnapshotOutcome,
     it holds no label for this snapshot, with the flag or without it; NMI
     is also None when no labeled node is in the snapshot.
     """
-    graph = seq.snapshots[outcome.t]
-    partition = outcome.result.partition
+    graph = seq.snapshots[t]
+    partition = result.partition
     mod = (modularity_undirected if undirected else modularity_directed)(graph, partition)
-    labels = truth.labels_for(outcome.t) if truth is not None else {}
+    labels = truth.labels_for(t) if truth is not None else {}
     if not labels:
         return None, mod, None
     if unlabeled_as_community:
@@ -84,4 +76,4 @@ def evaluate_outcome(seq: SnapshotSequence, outcome: SnapshotOutcome,
         reference = {v: labels[v] for v in covered}
         predicted = {v: partition[v] for v in covered}
     score = nmi(predicted, reference) if reference else None
-    return score, mod, truth.community_count(outcome.t)
+    return score, mod, truth.community_count(t)

@@ -148,9 +148,9 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     nodes that belong to a snapshot even without incident edges.  With
     `undirected=True` every record is materialized as two directed edges.
 
-    Raises FormatError on empty input, negative ordinals, or a snapshot
-    that ends up with no edges at all.  A negative ordinal is reported only
-    once the whole stream has been read, so an error the stream itself
+    Raises FormatError on empty input, negative ordinals, or a snapshot (by
+    its input ordinal) with no edges at all.  A negative ordinal is reported
+    only once the whole stream has been read, so an error the stream itself
     raises (a parse error) comes first.
     """
     label_to_id: dict = {}
@@ -195,7 +195,7 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     for raw, k in dense.items():
         edges = buckets.pop(raw, None)
         if not edges:
-            raise FormatError(f"snapshot {k} has no edges")
+            raise FormatError(f"snapshot {raw} has no edges")
         snapshots.append(SnapshotGraph.from_edges(edges, index_t=k,
                                                   nodes=declared.get(raw, ())))
 
@@ -227,9 +227,9 @@ def diff(prev: SnapshotGraph, next: SnapshotGraph) -> ChangeStats:
 
 
 def _text_lines(path) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a UTF-8 text file; FormatError if it is not UTF-8."""
+    """Numbered lines of a UTF-8 text file, a leading BOM dropped; FormatError if not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc

@@ -311,7 +311,7 @@ def parse_edge_file_oracle(path, snapshot_by: str = "column"):
 
     rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -409,10 +409,10 @@ def load_edge_stream_oracle(records, extra_nodes=None, undirected: bool = False)
             duplicates += before + 1 - len(bucket)
 
     snapshots = []
-    for k in range(len(dense)):
+    for t, k in dense.items():
         edges = edges_by_t[k]
         if not edges:
-            raise FormatError(f"snapshot {k} has no edges")
+            raise FormatError(f"snapshot {t} has no edges")
         extras = {v for t, vs in declared.items() if dense[t] == k for v in vs}
         snapshots.append(SnapshotGraph.from_edges(edges, index_t=k, nodes=extras))
 

@@ -134,12 +134,9 @@ def test_c04_strict_improvement_and_termination(fixture_data):
     # default config: strict improvement is asserted inside the engine
     # (an AuditError would fail this test); every run must stay within
     # 8n individual games per snapshot
-    for seed in range(50):
-        outcomes = run_repetition(seq, VariantKind("dgts"), SIMILARITY,
-                                  repetition=seed, contexts=contexts)
-        for outcome in outcomes:
-            n = seq.snapshots[outcome.t].n
-            ok_games &= outcome.result.games_played <= 8 * n
+    for results in run_repetition(seq, VariantKind("dgts"), SIMILARITY, repetitions=range(50)):
+        for t, result in enumerate(results):
+            ok_games &= result.games_played <= 8 * seq.snapshots[t].n
     # threshold 0 with a high pass cap: after any zero-change pass the
     # final state must be a local equilibrium
     zero_pass_runs = 0
@@ -173,15 +170,14 @@ def test_c05_planted_recovery_static(two_cliques, two_cliques_plant):
 
 
 def test_c06_dynamic_carryover_beats_restart(fixture_data):
-    seq, truth, contexts = fixture_data
+    seq, truth, _ = fixture_data
     start = time.perf_counter()
     dgt_scores, dgts_scores = [], []
-    for seed in range(20):
-        for variant, bucket in ((VariantKind("dgt"), dgt_scores),
-                                (VariantKind("dgts"), dgts_scores)):
-            outcomes = run_repetition(seq, variant, SIMILARITY, truth=truth,
-                                      repetition=seed, contexts=contexts)
-            scores = [evaluate_outcome(seq, o, truth)[0] for o in outcomes]
+    for variant, bucket in ((VariantKind("dgt"), dgt_scores),
+                            (VariantKind("dgts"), dgts_scores)):
+        for results in run_repetition(seq, variant, SIMILARITY, truth=truth,
+                                      repetitions=range(20)):
+            scores = [evaluate_outcome(seq, t, r, truth)[0] for t, r in enumerate(results)]
             bucket.append(float(np.mean(scores)))
     elapsed = time.perf_counter() - start
     mean_dgt, mean_dgts = float(np.mean(dgt_scores)), float(np.mean(dgts_scores))
@@ -192,13 +188,12 @@ def test_c06_dynamic_carryover_beats_restart(fixture_data):
 
 
 def test_c07_community_count_accuracy(fixture_data):
-    seq, truth, contexts = fixture_data
+    seq, truth, _ = fixture_data
     actual = [truth.community_count(t) for t in range(seq.num_snapshots)]
     errors = []
-    for seed in range(10):
-        outcomes = run_repetition(seq, VariantKind("dgt"), SIMILARITY, truth=truth,
-                                  repetition=seed, contexts=contexts)
-        predicted = [o.n_communities for o in outcomes]
+    for results in run_repetition(seq, VariantKind("dgt"), SIMILARITY, truth=truth,
+                                  repetitions=range(10)):
+        predicted = [r.n_communities for r in results]
         errors.append(count_error(predicted, actual))
     mean_per_snapshot = float(np.mean(errors)) / seq.num_snapshots
     report(7, "community-count-accuracy", mean_per_snapshot <= 1.0,
@@ -232,17 +227,16 @@ def test_c09_scaling_check():
     for size in (25, 50):
         cfg = replace(FIXTURE, community_size=size)
         seq, _ = generate(cfg)
-        contexts = [GainContext(g) for g in seq.snapshots]
         best = float("inf")
         for seed in range(3):
             start = time.perf_counter()
-            outcomes = run_repetition(seq, VariantKind("dgts"), SIMILARITY,
-                                      repetition=seed, contexts=contexts)
+            [results] = run_repetition(seq, VariantKind("dgts"), SIMILARITY,
+                                       repetitions=[seed])
             best = min(best, time.perf_counter() - start)
-            for outcome in outcomes:
-                n = seq.snapshots[outcome.t].n
-                games_ok &= outcome.result.games_played <= 8 * n
-                candidates_ok &= outcome.result.max_candidates <= n
+            for t, result in enumerate(results):
+                n = seq.snapshots[t].n
+                games_ok &= result.games_played <= 8 * n
+                candidates_ok &= result.max_candidates <= n
         times[size] = best
     ratio = times[50] / times[25]
     report(9, "quadratic-scaling", ratio <= 6.0 and games_ok and candidates_ok,

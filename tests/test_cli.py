@@ -3,8 +3,11 @@ import csv
 import hashlib
 import importlib
 import logging
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,15 @@ class TestRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "not UTF-8" in err
+
+    def test_edgeless_declared_snapshot_named_by_its_input_ordinal(self, tmp_path, capsys):
+        (tmp_path / "edges.txt").write_text("a b 0\nb c 0\n", encoding="utf-8")
+        (tmp_path / "nodes.txt").write_text("x 5\n", encoding="utf-8")
+        rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                       "--nodes", str(tmp_path / "nodes.txt"), "--variant", "dgts",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "dgt: error: snapshot 5 has no edges\n"
 
     def test_truth_label_that_int_rejects_is_skipped(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("a b 0\nb c 0\nc a 0\n", encoding="utf-8")
@@ -408,15 +420,20 @@ class TestDeterminism:
             digests.append(tree_digest(out))
         assert digests[0] == digests[1]
 
-    def test_jobs_parallel_matches_serial(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("variant_args", [
+        ("--variant", "dgt", "--diagnostics"),
+        ("--variant", "dgtp"),
+        ("--variant", "dgtg", "--seed-fraction", "0.3"),
+        ("--variant", "dgts"),
+    ], ids=lambda args: args[1])
+    def test_jobs_parallel_matches_serial(self, data_dir, tmp_path, variant_args):
         digests = []
         for name, jobs in (("serial", "1"), ("parallel", "2")):
             out = tmp_path / name
             rc = cli.main([
                 "run", "--input", str(data_dir / "edges.txt"),
-                "--truth", str(data_dir / "truth.csv"),
-                "--variant", "dgts", "--repetitions", "2", "--seed", "3",
-                "--jobs", jobs, "--out", str(out),
+                "--truth", str(data_dir / "truth.csv"), *variant_args,
+                "--repetitions", "3", "--seed", "3", "--jobs", jobs, "--out", str(out),
             ])
             assert rc == 0
             digests.append(tree_digest(out))
@@ -447,6 +464,40 @@ def pool_sizes(monkeypatch) -> list:
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+class TestRunMemory:
+    # Prints the peak RSS in KiB of one `dgt run` in a fresh interpreter.
+    # Not ru_maxrss: Linux carries the spawning process's peak over the
+    # exec into it, so under a large test process it reads that instead.
+    SCRIPT = ("import sys\nfrom dgt import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n")
+
+    def peak_rss_mb(self, tmp_path, snapshots):
+        seq, _ = generate(SynthConfig(communities=40, community_size=25, p_in=0.3,
+                                      p_out=0.005, churn=0.1, num_snapshots=snapshots,
+                                      rng_seed=3))
+        edges = tmp_path / f"edges{snapshots}.txt"
+        write_edge_list(seq, edges)
+        src = str(Path(dgt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "run", "--input", str(edges),
+             "--variant", "dgtp", "--max-passes", "1", "--repetitions", "2",
+             "--out", str(tmp_path / f"out{snapshots}")],
+            env=env, capture_output=True, text=True, check=True).stdout
+        return int(out) / 1024
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_peak_memory_barely_grows_with_the_snapshot_count(self, tmp_path):
+        # n = 1000, about 12 000 edges a snapshot.  Measured: 9 snapshots
+        # peak 3.2 MB above 3 (48.0 MB); with every snapshot's kernel rows
+        # kept until the run ends, 52.3 MB above (63.3 MB)
+        grown = self.peak_rss_mb(tmp_path, 9) - self.peak_rss_mb(tmp_path, 3)
+        assert grown < 16.0
 
 
 class TestJobs:
@@ -619,3 +670,12 @@ class TestSweepCommand:
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 1
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert all(len(row) == 4 for row in rows)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgt import gain_functions
+from dgt import gain_functions, runner
 from dgt.errors import EmptyGraphError, PreconditionError
 from dgt.gain_functions import (
     GainContext,
@@ -18,7 +18,6 @@ from dgt.gain_functions import (
 )
 from dgt.game_engine import CommunityStructure, GameConfig, Join, Leave, NoOp, Switch
 from dgt.initialization import VariantKind
-from dgt.runner import run_repetition
 from dgt.snapshot_graph import SnapshotGraph
 from dgt.synth import SynthConfig, generate
 
@@ -30,6 +29,20 @@ from oracles import (
     similarity_oracle,
     utility_oracle,
 )
+
+
+def play_one_repetition(monkeypatch, seq) -> list[GainContext]:
+    """Play one full-carryover repetition over `seq` for two passes a
+    snapshot, and return the GainContexts it built, kept alive after it."""
+    contexts = []
+
+    def recording_context(graph):
+        contexts.append(GainContext(graph))
+        return contexts[-1]
+
+    monkeypatch.setattr(runner, "GainContext", recording_context)
+    runner.run_repetition(seq, VariantKind("dgt"), GameConfig(max_passes=2, trace=False))
+    return contexts
 
 
 def structure_over(g, *communities):
@@ -118,7 +131,7 @@ class TestSimilarityKernel:
         assert peak < 20 * 2**20
         assert similarity(ctx, 0, 6) == similarity_oracle(g, 0, 6)
 
-    def test_contexts_hold_only_sparse_rows_after_a_repetition(self):
+    def test_contexts_hold_only_sparse_rows_after_a_repetition(self, monkeypatch):
         # three snapshots of 12 planted 20-node communities, 9 081 edges in
         # all, played for two full-carryover passes each.  Measured: the
         # contexts then hold 231 B per edge, their sparse rows and degrees;
@@ -128,9 +141,7 @@ class TestSimilarityKernel:
         edges = sum(g.m for g in seq.snapshots)
         tracemalloc.start()
         try:
-            contexts = [GainContext(g) for g in seq.snapshots]
-            run_repetition(seq, VariantKind("dgt"), GameConfig(max_passes=2, trace=False),
-                           contexts=contexts)
+            contexts = play_one_repetition(monkeypatch, seq)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -145,12 +156,11 @@ class TestSimilarityKernel:
         assert ctx.null_row(1) is ctx.null_row(1)
         assert ctx._null_rows.keys() == {1}
 
-    def test_contexts_hold_one_null_row_per_in_degree_after_a_repetition(self):
+    def test_contexts_hold_one_null_row_per_in_degree_after_a_repetition(self, monkeypatch):
         seq, _ = generate(SynthConfig(communities=4, community_size=10, p_in=0.6,
                                       p_out=0.02, churn=0.1, num_snapshots=3, rng_seed=5))
-        contexts = [GainContext(g) for g in seq.snapshots]
-        run_repetition(seq, VariantKind("dgt"), GameConfig(max_passes=2, trace=False),
-                       contexts=contexts)
+        contexts = play_one_repetition(monkeypatch, seq)
+        assert [ctx.graph for ctx in contexts] == seq.snapshots
         for g, ctx in zip(seq.snapshots, contexts):
             in_degrees = {len(g.in_adj[v]) for v in g.nodes}
             width = max(len(g.out_adj[v]) for v in g.nodes) + 1

@@ -3,11 +3,12 @@ import logging
 import numpy as np
 import pytest
 
-from dgt.errors import ConfigError, FormatError, PreconditionError
+from dgt.errors import ConfigError, FormatError
 from dgt.game_engine import GameConfig, run_snapshot
 from dgt.initialization import (
     GroundTruth,
     VariantKind,
+    carry,
     init_structure,
     load_ground_truth,
     write_ground_truth,
@@ -33,7 +34,7 @@ class TestVariantKind:
 class TestSingletons:
     def test_dgts_five_singletons(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-        st = init_structure(VariantKind("dgts"), 0, [], g)
+        st = init_structure(VariantKind("dgts"), 0, {}, g)
         assert len(st.communities) == 5
         assert all(len(members) == 1 for members in st.communities.values())
         assert st.audit() == []
@@ -41,67 +42,83 @@ class TestSingletons:
     def test_t0_always_singletons(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         for kind in ("dgt", "dgtp", "dgts"):
-            st = init_structure(VariantKind(kind), 0, [], g)
+            st = init_structure(VariantKind(kind), 0, {}, g)
             assert all(len(members) == 1 for members in st.communities.values())
 
     def test_next_id_continues(self):
         g = SnapshotGraph.from_edges([(0, 1)])
-        st = init_structure(VariantKind("dgts"), 1, [], g, next_id=40)
+        st = init_structure(VariantKind("dgts"), 1, {}, g, next_id=40)
         assert set(st.communities) == {40, 41}
         assert st.next_id == 42
+
+
+def carried_over(kind: str, evolved_maps) -> dict[int, set[int]]:
+    """The map `kind` carries after snapshots whose games ended with
+    `evolved_maps`, in order."""
+    carried: dict[int, set[int]] = {}
+    for evolved in evolved_maps:
+        carried = carry(VariantKind(kind), carried, evolved)
+    return carried
 
 
 class TestCarryover:
     def test_dgt_union_across_history(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 0)])
-        history = [{0: {3}, 1: {3}}, {0: {7}, 1: {7}}]
-        st = init_structure(VariantKind("dgt"), 2, history, g, next_id=10)
+        carried = carried_over("dgt", [{0: {3}, 1: {3}}, {0: {7}, 1: {7}}])
+        st = init_structure(VariantKind("dgt"), 2, carried, g, next_id=10)
         assert st.memberships[0] == {3, 7}
         assert st.memberships[1] == {3, 7}
         assert st.audit() == []
 
     def test_dgtp_uses_only_previous(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 0)])
-        history = [{0: {3}, 1: {3}}, {0: {7}, 1: {7}}]
-        st = init_structure(VariantKind("dgtp"), 2, history, g, next_id=10)
+        carried = carried_over("dgtp", [{0: {3}, 1: {3}}, {0: {7}, 1: {7}}])
+        st = init_structure(VariantKind("dgtp"), 2, carried, g, next_id=10)
         assert st.memberships[0] == {7}
 
     def test_dgtp_equals_dgt_with_single_history(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)])
         history = [{0: {2}, 1: {2}, 2: {1}}]
-        a = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
-        b = init_structure(VariantKind("dgtp"), 1, history, g, next_id=5)
+        a = init_structure(VariantKind("dgt"), 1, carried_over("dgt", history), g, next_id=5)
+        b = init_structure(VariantKind("dgtp"), 1, carried_over("dgtp", history), g, next_id=5)
         assert a.memberships == b.memberships
         assert a.communities == b.communities
 
+    @pytest.mark.parametrize("kind", ["dgts", "dgtg"])
+    def test_restarting_variants_carry_nothing(self, kind):
+        assert carried_over(kind, [{0: {3}, 1: {3}}, {0: {7}}]) == {}
+
+    @pytest.mark.parametrize("kind", ["dgt", "dgtp"])
+    def test_label_less_agents_get_singletons(self, kind):
+        g = SnapshotGraph.from_edges([(0, 1), (1, 2)])
+        carried = carried_over(kind, [{0: {3}, 1: set()}, {0: {3}, 1: set()}])
+        st = init_structure(VariantKind(kind), 2, carried, g, next_id=5)
+        assert st.memberships == {0: {3}, 1: {5}, 2: {6}}
+        assert st.audit() == []
+
     def test_new_nodes_get_singletons(self):
         g = SnapshotGraph.from_edges([(0, 1), (2, 0)])
-        history = [{0: {4}, 1: {4}}]
-        st = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
+        carried = carried_over("dgt", [{0: {4}, 1: {4}}])
+        st = init_structure(VariantKind("dgt"), 1, carried, g, next_id=5)
         assert st.memberships[2] == {5}
         assert st.next_id == 6
 
     def test_departed_nodes_filtered(self):
         # node 9 vanished from the snapshot; its labels must not appear
         g = SnapshotGraph.from_edges([(0, 1)])
-        history = [{0: {3}, 9: {3, 4}}]
-        st = init_structure(VariantKind("dgt"), 1, history, g, next_id=5)
+        carried = carried_over("dgt", [{0: {3}, 9: {3, 4}}])
+        st = init_structure(VariantKind("dgt"), 1, carried, g, next_id=5)
         assert set(st.communities) == {3, 5}
         assert st.communities[3] == [0]
         assert 4 not in st.communities
 
-    def test_history_length_checked(self):
-        g = SnapshotGraph.from_edges([(0, 1)])
-        with pytest.raises(PreconditionError):
-            init_structure(VariantKind("dgt"), 2, [{0: {1}}], g, next_id=2)
-
     def test_run_snapshot_accepts_carryover(self):
         rng = np.random.default_rng(31)
         g = random_digraph(rng, 12)
-        st0 = init_structure(VariantKind("dgts"), 0, [], g)
+        st0 = init_structure(VariantKind("dgts"), 0, {}, g)
         evolved, _ = run_snapshot(g, st0, GameConfig(rng_seed=0))
-        st1 = init_structure(VariantKind("dgt"), 1, [evolved.memberships], g,
-                             next_id=evolved.next_id)
+        st1 = init_structure(VariantKind("dgt"), 1, carried_over("dgt", [evolved.memberships]),
+                             g, next_id=evolved.next_id)
         assert st1.audit() == []
 
 
@@ -116,17 +133,17 @@ class TestDgtg:
 
     def test_requires_truth(self):
         with pytest.raises(ConfigError):
-            init_structure(VariantKind("dgtg", 0.1), 0, [], self.graph())
+            init_structure(VariantKind("dgtg", 0.1), 0, {}, self.graph())
 
     def test_zero_fraction_is_singletons(self):
         rng = np.random.default_rng(0)
-        st = init_structure(VariantKind("dgtg", 0.0), 0, [], self.graph(),
+        st = init_structure(VariantKind("dgtg", 0.0), 0, {}, self.graph(),
                             truth=self.truth(), rng=rng)
         assert all(len(m) == 1 for m in st.communities.values())
 
     def test_whole_communities_seeded(self):
         rng = np.random.default_rng(0)
-        st = init_structure(VariantKind("dgtg", 0.3), 0, [], self.graph(),
+        st = init_structure(VariantKind("dgtg", 0.3), 0, {}, self.graph(),
                             truth=self.truth(), rng=rng)
         sizes = sorted(len(m) for m in st.communities.values())
         # budget 3 -> one whole 5-member truth community, rest singletons
@@ -135,7 +152,7 @@ class TestDgtg:
 
     def test_full_fraction_seeds_everything(self):
         rng = np.random.default_rng(0)
-        st = init_structure(VariantKind("dgtg", 1.0), 0, [], self.graph(),
+        st = init_structure(VariantKind("dgtg", 1.0), 0, {}, self.graph(),
                             truth=self.truth(), rng=rng)
         sizes = sorted(len(m) for m in st.communities.values())
         assert sizes == [5, 5]
@@ -143,7 +160,7 @@ class TestDgtg:
     def test_absent_truth_members_ignored(self):
         truth = GroundTruth(by_snapshot={0: {0: "a", 1: "a", 99: "a"}})
         rng = np.random.default_rng(0)
-        st = init_structure(VariantKind("dgtg", 1.0), 0, [], self.graph(),
+        st = init_structure(VariantKind("dgtg", 1.0), 0, {}, self.graph(),
                             truth=truth, rng=rng)
         assert 99 not in st.memberships
         assert st.audit() == []
@@ -152,7 +169,7 @@ class TestDgtg:
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(123)
-            st = init_structure(VariantKind("dgtg", 0.5), 0, [], self.graph(),
+            st = init_structure(VariantKind("dgtg", 0.5), 0, {}, self.graph(),
                                 truth=self.truth(), rng=rng)
             outs.append(sorted(tuple(sorted(m)) for m in st.communities.values()))
         assert outs[0] == outs[1]
@@ -222,6 +239,12 @@ class TestGroundTruthIO:
         )
         truth = load_ground_truth(path, seq)
         assert truth.by_snapshot == {0: {0: "x"}}
+
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        seq = load_edge_stream([("a", "b", 0)])
+        path = tmp_path / "truth.csv"
+        path.write_bytes(b"\xef\xbb\xbfsnapshot,node_label,community_label\n0,a,x\n")
+        assert load_ground_truth(path, seq).by_snapshot == {0: {seq.label_to_id["a"]: "x"}}
 
     def test_bad_header(self, tmp_path):
         seq = load_edge_stream([("a", "b", 0)])

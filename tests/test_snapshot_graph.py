@@ -352,6 +352,16 @@ class TestEdgeFileParsing:
         path.write_text("# isolated\nghost 0\nother 2\n", encoding="utf-8")
         assert parse_node_file(path) == [("ghost", 0), ("other", 2)]
 
+    def test_byte_order_mark_is_not_part_of_a_label(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"\xef\xbb\xbfa b 0\nb c 0\nc a 0\n")
+        seq = read_edge_list(path)
+        assert seq.snapshots[0].n == 3
+        assert seq.id_to_label == ["a", "b", "c"]
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_bytes(b"\xef\xbb\xbfghost 0\n")
+        assert parse_node_file(nodes) == [("ghost", 0)]
+
 
 class TestChurnReport:
     def test_rows_match_diff(self):
