@@ -17,9 +17,6 @@ from .errors import (
 from .gain_functions import (
     GainContext,
     UtilityBreakdown,
-    gain_modularity,
-    gain_similarity,
-    loss,
     similarity,
     utility,
     utility_delta,
@@ -36,7 +33,6 @@ from .game_engine import (
     Switch,
     best_response,
     is_local_equilibrium,
-    potential,
     run_snapshot,
 )
 from .initialization import (
@@ -102,18 +98,14 @@ __all__ = [
     "derive_seeds",
     "diff",
     "evaluate_outcome",
-    "gain_modularity",
-    "gain_similarity",
     "generate",
     "init_structure",
     "is_local_equilibrium",
     "load_edge_stream",
     "load_ground_truth",
-    "loss",
     "modularity_directed",
     "modularity_undirected",
     "nmi",
-    "potential",
     "read_edge_list",
     "run_repetition",
     "run_snapshot",

@@ -185,9 +185,8 @@ def _run_all_reps(seq, variants, config, truth, args):
 
 
 def _write_diagnostics(path, result) -> None:
-    # 0.0 - util, not -util: a zero utility must print as 0.0
-    write_csv(path, ["pass", "changed_agents", "total_utility", "potential"],
-              [(i, changed, util, 0.0 - util) for i, (changed, util)
+    write_csv(path, ["pass", "changed_agents", "total_utility"],
+              [(i, *row) for i, row
                in enumerate(zip(result.changed_trace, result.utility_trace))])
 
 

@@ -35,9 +35,10 @@ per held label), so utilities of different snapshots live on comparable
 scales.
 
 `_MoveScorer` is the only code that sums a gain: an agent's total gain
-and the deltas of its join, leave and switch moves.  The public gain
-functions, `utility_delta` and the game engine all call it.  The move
-types live here because `utility_delta` dispatches on them.
+and the deltas of its join, leave and switch moves.  `utility`, the one
+public scorer of a label set, `utility_delta` and the game engine all
+call it.  The move types live here because `utility_delta` dispatches on
+them.
 """
 
 from __future__ import annotations
@@ -198,32 +199,14 @@ def _check_labels(labels, structure) -> None:
         raise PreconditionError(f"unknown community ids: {sorted(missing)}")
 
 
-def gain_similarity(ctx: GainContext, agent: int, labels, structure) -> float:
-    """Similarity gain: (1/m) * sum of the kernel over the union of the
-    agent's co-members.  A node sharing several communities with the agent
-    counts once; holding overlapping communities pays only for the members
-    they add."""
-    _check_labels(labels, structure)
-    return _MoveScorer(ctx, agent, structure, "similarity", labels).total()
-
-
-def gain_modularity(ctx: GainContext, agent: int, labels, structure) -> float:
-    """Personalized modularity gain, normalized by 1/(2m)."""
-    _check_labels(labels, structure)
-    return _MoveScorer(ctx, agent, structure, "modularity", labels).total()
-
-
-def loss(ctx: GainContext, labels) -> float:
-    """Membership cost: one unit per held label, normalized by m."""
-    return len(labels) / ctx.m
-
-
 def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "similarity") -> UtilityBreakdown:
-    """Gain-minus-loss breakdown for an agent holding `labels`."""
+    """Gain-minus-loss breakdown for an agent holding `labels`, under
+    either gain described above; the loss is one unit per held label,
+    normalized by m."""
     _check_gain(gain)
     _check_labels(labels, structure)
     g = _MoveScorer(ctx, agent, structure, gain, labels).total()
-    return UtilityBreakdown(gain=g, loss=loss(ctx, labels))
+    return UtilityBreakdown(gain=g, loss=len(labels) / ctx.m)
 
 
 class _MoveScorer:

@@ -29,7 +29,6 @@ from .gain_functions import (
     NoOp,
     Switch,
     _MoveScorer,
-    _check_gain,
 )
 from .snapshot_graph import SnapshotGraph
 
@@ -290,8 +289,9 @@ def best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
     return _best_response(ctx, agent, structure, config)[0]
 
 
-def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) -> tuple[float, float]:
-    """(total gain, total loss) over all agents."""
+def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) -> float:
+    """Total utility over `agents`: the total gain minus the total loss,
+    each summed in agent order."""
     total_gain = 0.0
     total_loss = 0.0
     m = ctx.m
@@ -299,15 +299,7 @@ def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) 
         score = _MoveScorer(ctx, agent, structure, gain)
         total_gain += score.total()
         total_loss += len(score.held) / m
-    return total_gain, total_loss
-
-
-def potential(ctx: GainContext, structure: CommunityStructure, gain: str = "similarity") -> float:
-    """Total loss minus total gain over all agents, a diagnostic for
-    tracking the game's global progress."""
-    _check_gain(gain)
-    total_gain, total_loss = _totals(ctx, ctx.graph.nodes, structure, gain)
-    return total_loss - total_gain
+    return total_gain - total_loss
 
 
 def is_local_equilibrium(ctx: GainContext, structure: CommunityStructure,
@@ -344,13 +336,17 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     Agents are visited once per pass in a fresh uniform permutation and
     each applied action must strictly improve the acting agent's utility
     (violations raise AuditError: they would mean the engine's incremental
-    deltas disagree with the action taken).  Returns the evolved
+    deltas disagree with the action taken).  Every agent of `initial`
+    that holds a label must be a node of `graph`.  Returns the evolved
     multi-membership structure, whose `memberships` seed the carry-over of
     later snapshots, and the hard-assigned result.
     """
     problems = initial.audit()
     if problems:
         raise AuditError("; ".join(problems))
+    strays = sorted(v for v, ks in initial.memberships.items() if ks and not graph.has_node(v))
+    if strays:
+        raise PreconditionError(f"agents {strays} hold labels but are not in the snapshot")
     if ctx is None:
         ctx = GainContext(graph)
     elif ctx.graph is not graph:
@@ -388,8 +384,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
             structure.apply(agent, action)
             changed += 1
         if config.trace:
-            total_gain, total_loss = _totals(ctx, agents, structure, config.gain)
-            utility_trace.append(total_gain - total_loss)
+            utility_trace.append(_totals(ctx, agents, structure, config.gain))
         changed_trace.append(changed)
         if changed / n < config.change_fraction_threshold:
             stop_reason = "threshold"

@@ -105,6 +105,8 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                 truth.by_snapshot.setdefault(k, {})[node] = row[2]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if skipped:
         logger.warning("skipped %d ground-truth row(s) naming unknown nodes or snapshots",
                        skipped)

@@ -71,6 +71,22 @@ def utility_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
     return benefit - len(labels) / g.m
 
 
+def potential_oracle(g: SnapshotGraph, communities: dict, memberships: dict) -> float:
+    """Phi* = (1/2) * (total similarity gain) - (total loss) over all agents.
+
+    A move by agent i changes co-membership only for pairs that contain i,
+    so when the kernel is symmetric (a graph holding each edge both ways)
+    Phi* changes by exactly i's utility change on every move: the
+    similarity game is then an exact potential game (Monderer and Shapley,
+    "Potential games", Games Econ. Behav. 14, 1996).  On a directed graph
+    it is not a potential.
+    """
+    labels = {v: memberships.get(v, ()) for v in g.nodes}
+    gain = sum(gain_similarity_oracle(g, communities, v, labels[v]) for v in g.nodes)
+    loss = sum(len(ks) for ks in labels.values()) / g.m
+    return gain / 2.0 - loss
+
+
 def contribution_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
                         agent: int, k: int, gain: str) -> float:
     """Raw gain of community k taken alone, not divided by m or 2m.

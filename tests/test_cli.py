@@ -124,6 +124,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "not UTF-8" in err
 
+    def test_oversized_truth_field_exits_one(self, tmp_path, capsys):
+        (tmp_path / "edges.txt").write_text("a b 0\nb c 0\n", encoding="utf-8")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("snapshot,node_label,community_label\n0,a," + "x" * 200_000 + "\n",
+                         encoding="utf-8")
+        rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"), "--truth", str(truth),
+                       "--variant", "dgts", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"dgt: error: {truth}:2: field larger than field limit")
+
     def test_edgeless_declared_snapshot_named_by_its_input_ordinal(self, tmp_path, capsys):
         (tmp_path / "edges.txt").write_text("a b 0\nb c 0\n", encoding="utf-8")
         (tmp_path / "nodes.txt").write_text("x 5\n", encoding="utf-8")
@@ -241,7 +253,7 @@ class TestRun:
         ])
         assert rc == 0
         diag = read_csv(out / "diagnostics_t0_rep0.csv")
-        assert list(diag[0]) == ["pass", "changed_agents", "total_utility", "potential"]
+        assert list(diag[0]) == ["pass", "changed_agents", "total_utility"]
         assert len(diag) >= 1
 
     @pytest.mark.parametrize("gain", ["similarity", "modularity"])
@@ -352,12 +364,12 @@ GOLDEN_DIGESTS = {
         "communities_t1_rep1.csv": "eb30c6a450a329b2da5728a55c47e715dd62aebff82b7aeb9cbd883fe8f3ae29",
         "communities_t2_rep0.csv": "435d1e826cc048cf19f02b1c945e96ab33d8f4538568c6bc8e86a646738357aa",
         "communities_t2_rep1.csv": "db4f9cb5a467322341ca45d1136b02533a0ef18b96d12d9b6c40c07000aa04f7",
-        "diagnostics_t0_rep0.csv": "635baa0c420a1ef42bbdbd4d3b19aef797294937978a7e096797c6662265d153",
-        "diagnostics_t0_rep1.csv": "7b3f5b6e7226096ac853f1a226feeb6f8cd5d0182b936aa2ce14b6ac8aec6f95",
-        "diagnostics_t1_rep0.csv": "0f2f7ff00a765aa2ee077fa3c5f0d8c1dee073d7ed85860c2a5173323d449a86",
-        "diagnostics_t1_rep1.csv": "40c5b726e0f7791ada5c53455d20201dbf08a0911f693eb1f2feff2b0d6863c4",
-        "diagnostics_t2_rep0.csv": "23b616cb4540e34fc074a9cd4ec94e2a6abff580a5b56b0ccbc210d828d2cbff",
-        "diagnostics_t2_rep1.csv": "2f16da23972c3147188011e79fa3d5f6a1c77c7a597bae6ce89fe13261f8a6f2",
+        "diagnostics_t0_rep0.csv": "870d2910bdfeb26aaed26158f5139899996a7dad6c99bb0f7da0e4f3afd6bcf5",
+        "diagnostics_t0_rep1.csv": "94eaf83887abd6acd1456593502a2cba6904e367c0058acf0dc7ff84cdfbb599",
+        "diagnostics_t1_rep0.csv": "b977bca3730ad81ab2cd6a37d345ca739a5ed41e1d56da757e77b9d0317b6be3",
+        "diagnostics_t1_rep1.csv": "dc7d207259531ca7a0ef4388a2b93439bcc33296104ffd93f03673bd44b2d84a",
+        "diagnostics_t2_rep0.csv": "e00f5a2029fb7530bff1ad2f7755c0d290ddc602cbf507af7d065d84299f89d8",
+        "diagnostics_t2_rep1.csv": "1412a112edae95d9b3a7bd8542765b8c5d11db81f6ddebf203065f786ee3c84f",
         "metrics.csv": "e01391b094d1fe306913342a79b86f071e57dc833dc8ba133f4c9207dcb10385",
     },
     "dgtp": {

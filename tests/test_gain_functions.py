@@ -9,9 +9,6 @@ from dgt import gain_functions, runner
 from dgt.errors import EmptyGraphError, PreconditionError
 from dgt.gain_functions import (
     GainContext,
-    gain_modularity,
-    gain_similarity,
-    loss,
     similarity,
     utility,
     utility_delta,
@@ -172,31 +169,31 @@ class TestGainSimilarity:
     def test_empty_labels(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         st, _ = structure_over(g, [0], [1])
-        assert gain_similarity(GainContext(g), 0, set(), st) == 0.0
+        assert utility(GainContext(g), 0, set(), st).gain == 0.0
 
     def test_agent_alone_in_community(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         st, ids = structure_over(g, [0], [1])
-        assert gain_similarity(GainContext(g), 0, {ids[0]}, st) == 0.0
+        assert utility(GainContext(g), 0, {ids[0]}, st).gain == 0.0
 
     def test_three_clique_single_community(self):
         g = SnapshotGraph.from_edges([(i, j) for i in range(3) for j in range(3) if i != j])
         ctx = GainContext(g)
         st, ids = structure_over(g, [0, 1, 2])
         expected = (similarity(ctx, 0, 1) + similarity(ctx, 0, 2)) / 6.0
-        assert gain_similarity(ctx, 0, {ids[0]}, st) == pytest.approx(expected, abs=1e-15)
+        assert utility(ctx, 0, {ids[0]}, st).gain == pytest.approx(expected, abs=1e-15)
 
     def test_duplicate_communities_add_nothing(self):
         g = SnapshotGraph.from_edges([(i, j) for i in range(4) for j in range(4) if i != j])
         ctx = GainContext(g)
         st, ids = structure_over(g, [0, 1, 2], [0, 1, 2])
-        assert gain_similarity(ctx, 0, {ids[0]}, st) == gain_similarity(ctx, 0, set(ids), st)
+        assert utility(ctx, 0, {ids[0]}, st).gain == utility(ctx, 0, set(ids), st).gain
 
     def test_unknown_label_rejected(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         st, _ = structure_over(g, [0], [1])
         with pytest.raises(PreconditionError):
-            gain_similarity(GainContext(g), 0, {99}, st)
+            utility(GainContext(g), 0, {99}, st)
 
     def test_matches_union_oracle(self):
         rng = np.random.default_rng(10)
@@ -207,7 +204,7 @@ class TestGainSimilarity:
             agent = int(rng.choice(g.nodes))
             labels = set(st.memberships[agent])
             expected = gain_similarity_oracle(g, st.communities, agent, labels)
-            assert gain_similarity(ctx, agent, labels, st) == pytest.approx(expected, abs=1e-12)
+            assert utility(ctx, agent, labels, st).gain == pytest.approx(expected, abs=1e-12)
 
     def test_additive_over_member_disjoint_labels(self):
         rng = np.random.default_rng(11)
@@ -219,9 +216,9 @@ class TestGainSimilarity:
             st, ids = structure_over(g, nodes[:third], nodes[third : 2 * third])
             ctx = GainContext(g)
             agent = nodes[-1]
-            g1 = gain_similarity(ctx, agent, {ids[0]}, st)
-            g2 = gain_similarity(ctx, agent, {ids[1]}, st)
-            both = gain_similarity(ctx, agent, set(ids), st)
+            g1 = utility(ctx, agent, {ids[0]}, st).gain
+            g2 = utility(ctx, agent, {ids[1]}, st).gain
+            both = utility(ctx, agent, set(ids), st).gain
             assert both == pytest.approx(g1 + g2, abs=1e-12)
 
     def test_new_positive_co_member_strictly_increases(self):
@@ -240,9 +237,9 @@ class TestGainSimilarity:
             if not outside:
                 continue
             st, ids = structure_over(g, members)
-            before = gain_similarity(ctx, agent, {ids[0]}, st)
+            before = utility(ctx, agent, {ids[0]}, st).gain
             st.join(outside[0], ids[0])
-            after = gain_similarity(ctx, agent, {ids[0]}, st)
+            after = utility(ctx, agent, {ids[0]}, st).gain
             assert after > before
             found += 1
         assert found >= 10
@@ -252,19 +249,20 @@ class TestGainModularity:
     def test_empty_labels(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         st, _ = structure_over(g, [0], [1])
-        assert gain_modularity(GainContext(g), 0, set(), st) == 0.0
+        assert utility(GainContext(g), 0, set(), st, "modularity").gain == 0.0
 
     def test_isolated_singleton_zero(self):
         g = SnapshotGraph.from_edges([(0, 1)], nodes=[0, 1, 2])
         st, ids = structure_over(g, [0], [1], [2])
-        assert gain_modularity(GainContext(g), 2, {ids[2]}, st) == 0.0
+        assert utility(GainContext(g), 2, {ids[2]}, st, "modularity").gain == 0.0
 
     def test_mutual_pair_value(self):
         # two nodes with edges both ways, one shared community
         g = SnapshotGraph.from_edges([(0, 1), (1, 0)])
         st, ids = structure_over(g, [0, 1])
         ctx = GainContext(g)
-        assert gain_modularity(ctx, 0, {ids[0]}, st) == pytest.approx(3.0 / 16.0, abs=1e-15)
+        u = utility(ctx, 0, {ids[0]}, st, "modularity")
+        assert u.gain == pytest.approx(3.0 / 16.0, abs=1e-15)
         assert gain_modularity_oracle(g, st.communities, st.memberships, 0, {ids[0]}) == pytest.approx(
             3.0 / 16.0, abs=1e-15
         )
@@ -278,30 +276,35 @@ class TestGainModularity:
             agent = int(rng.choice(g.nodes))
             labels = set(st.memberships[agent])
             expected = gain_modularity_oracle(g, st.communities, st.memberships, agent, labels)
-            assert gain_modularity(ctx, agent, labels, st) == pytest.approx(expected, abs=1e-12)
+            u = utility(ctx, agent, labels, st, "modularity")
+            assert u.gain == pytest.approx(expected, abs=1e-12)
 
 
 class TestLoss:
     def test_empty(self):
         g = SnapshotGraph.from_edges([(0, 1)])
-        assert loss(GainContext(g), set()) == 0.0
+        st, _ = structure_over(g, [0], [1])
+        assert utility(GainContext(g), 0, set(), st).loss == 0.0
 
     def test_three_labels_m_twelve(self):
         edges = [(i, j) for i in range(4) for j in range(4) if i != j]  # m = 12
         g = SnapshotGraph.from_edges(edges)
-        assert loss(GainContext(g), {1, 2, 3}) == 0.25
+        st, ids = structure_over(g, [0], [0, 1], [0, 2])
+        assert utility(GainContext(g), 0, set(ids), st).loss == 0.25
 
     def test_one_label_m_8080(self):
         edges = [(i, j) for i in range(90) for j in range(90) if i != j]  # 8010
         edges += [(0, 90 + i) for i in range(70)]                         # +70
         g = SnapshotGraph.from_edges(edges)
         assert g.m == 8080
-        assert loss(GainContext(g), {0}) == 1.0 / 8080.0
+        st, ids = structure_over(g, [0])
+        assert utility(GainContext(g), 0, set(ids), st).loss == 1.0 / 8080.0
 
     def test_strictly_increasing_in_label_count(self):
         g = SnapshotGraph.from_edges([(0, 1), (1, 2)])
         ctx = GainContext(g)
-        values = [loss(ctx, set(range(k))) for k in range(6)]
+        st, ids = structure_over(g, *[[0]] * 5)
+        values = [utility(ctx, 0, set(ids[:k]), st).loss for k in range(6)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 

@@ -16,13 +16,12 @@ from dgt.game_engine import (
     Switch,
     best_response,
     is_local_equilibrium,
-    potential,
     run_snapshot,
 )
 from dgt.metrics import nmi
 from dgt.snapshot_graph import SnapshotGraph
 
-from oracles import random_digraph, random_structure
+from oracles import potential_oracle, random_digraph, random_structure
 
 
 class TestCommunityStructure:
@@ -280,6 +279,16 @@ class TestRunSnapshot:
         with pytest.raises(AuditError):
             run_snapshot(two_cliques, init, GameConfig())
 
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    @pytest.mark.parametrize("nodes, members", [((), [0, 1, 99]), ((5,), [0, 1, 3])],
+                             ids=["above-every-node-id", "below-a-node-id"])
+    def test_rejects_labelled_agents_outside_the_snapshot(self, gain, nodes, members):
+        g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)], nodes=nodes)
+        init = CommunityStructure()
+        init.create_community(members)
+        with pytest.raises(PreconditionError, match=rf"agents \[{members[-1]}\] hold labels"):
+            run_snapshot(g, init, GameConfig(gain=gain))
+
     def test_rejects_foreign_context(self, two_cliques):
         other = SnapshotGraph.from_edges([(0, 1)])
         init = CommunityStructure.from_singletons(two_cliques.nodes)
@@ -391,24 +400,17 @@ class TestEquilibrium:
 
 
 class TestPotential:
-    def test_all_empty_label_sets(self, two_cliques):
-        ctx = GainContext(two_cliques)
-        st = CommunityStructure()
-        for v in two_cliques.nodes:
-            st.add_agent(v)
-        assert potential(ctx, st) == 0.0
-
-    def test_singleton_init_value(self, two_cliques):
-        ctx = GainContext(two_cliques)
-        st = CommunityStructure.from_singletons(two_cliques.nodes)
-        n, m = two_cliques.n, two_cliques.m
-        assert potential(ctx, st) == pytest.approx(n / m, abs=1e-15)
-
-    def test_rejects_unknown_gain(self, two_cliques):
-        ctx = GainContext(two_cliques)
-        st = CommunityStructure.from_singletons(two_cliques.nodes)
-        with pytest.raises(PreconditionError, match="bogus"):
-            potential(ctx, st, "bogus")
+    def test_a_directed_kernel_is_not_a_potential(self):
+        # on the 3-cycle s(0, 1) = 1/12 = -s(1, 0): agent 0 joining {1}
+        # gains s(0, 1)/m, while Phi* moves by the pair's mean, zero
+        g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)])
+        st = CommunityStructure.from_singletons(g.nodes)
+        after = st.copy()
+        after.join(0, 1)
+        change = (potential_oracle(g, after.communities, after.memberships)
+                  - potential_oracle(g, st.communities, st.memberships))
+        assert utility_delta(GainContext(g), 0, Join(1), st) == pytest.approx(1 / 36 - 1 / 3)
+        assert change == pytest.approx(-1 / 3)
 
     def test_trace_mirrors_utility(self, two_cliques, tmp_path):
         ctx = GainContext(two_cliques)
@@ -419,5 +421,3 @@ class TestPotential:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["total_utility"]) for r in rows] == result.utility_trace
-        for row in rows:
-            assert row["potential"] == repr(0.0 - float(row["total_utility"]))
