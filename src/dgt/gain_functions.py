@@ -193,6 +193,11 @@ def _check_gain(gain: str) -> None:
         raise PreconditionError(f"gain must be one of {GAIN_KINDS}, got {gain!r}")
 
 
+def _check_agent(ctx: GainContext, agent: int) -> None:
+    if not ctx.graph.has_node(agent):
+        raise PreconditionError(f"agent {agent} is not in the snapshot")
+
+
 def _check_labels(labels, structure) -> None:
     missing = [k for k in labels if k not in structure.communities]
     if missing:
@@ -204,6 +209,7 @@ def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "simila
     either gain described above; the loss is one unit per held label,
     normalized by m."""
     _check_gain(gain)
+    _check_agent(ctx, agent)
     _check_labels(labels, structure)
     g = _MoveScorer(ctx, agent, structure, gain, labels).total()
     return UtilityBreakdown(gain=g, loss=len(labels) / ctx.m)
@@ -356,6 +362,7 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
     move the gain, mirroring its union-of-co-members definition.
     """
     _check_gain(gain)
+    _check_agent(ctx, agent)
     held = structure.memberships.get(agent, frozenset())
     if isinstance(action, NoOp):
         return 0.0

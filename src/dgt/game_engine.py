@@ -16,8 +16,6 @@ import bisect
 from dataclasses import dataclass, field
 from itertools import repeat
 
-import numpy as np
-
 from .errors import AuditError, ConfigError, PreconditionError
 from .gain_functions import (
     GAIN_KINDS,
@@ -28,8 +26,10 @@ from .gain_functions import (
     Leave,
     NoOp,
     Switch,
+    _check_agent,
     _MoveScorer,
 )
+from .rng import PCG64
 from .snapshot_graph import SnapshotGraph
 
 
@@ -284,8 +284,7 @@ def best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
                   config: GameConfig) -> Action:
     """The agent's best action against the current structure, or NoOp when
     nothing strictly improves its utility."""
-    if not ctx.graph.has_node(agent):
-        raise PreconditionError(f"agent {agent} is not in the snapshot")
+    _check_agent(ctx, agent)
     return _best_response(ctx, agent, structure, config)[0]
 
 
@@ -356,7 +355,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     for agent in graph.nodes:
         structure.add_agent(agent)
 
-    rng = np.random.Generator(np.random.PCG64(config.rng_seed))
+    rng = PCG64(config.rng_seed)
     agents = graph.nodes
     n = len(agents)
     actions_taken = {"join": 0, "leave": 0, "switch": 0, "noop": 0}
@@ -366,8 +365,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     stop_reason = "pass_cap"
 
     for _ in range(config.max_passes):
-        # plain ints: indexing a tuple with a numpy scalar is slower
-        order = rng.permutation(n).tolist()
+        order = rng.permutation(n)
         changed = 0
         for idx in order:
             agent = agents[idx]

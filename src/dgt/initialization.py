@@ -14,10 +14,9 @@ import csv
 import logging
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError, FormatError
 from .game_engine import CommunityStructure
+from .rng import PCG64
 from .snapshot_graph import SnapshotGraph, SnapshotSequence, write_csv
 
 logger = logging.getLogger(__name__)
@@ -77,7 +76,9 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                 raise FormatError(f"{path}: empty ground-truth file")
             if [h.strip().lower() for h in header[:3]] != ["snapshot", "node_label", "community_label"]:
                 raise FormatError(f"{path}: expected header snapshot,node_label,community_label")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                # the physical line: a quoted field may span several
+                lineno = reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) < 3:
@@ -135,7 +136,7 @@ def carry(variant: VariantKind, carried: dict[int, set[int]],
 
 def init_structure(variant: VariantKind, t: int, carried: dict[int, set[int]],
                    graph: SnapshotGraph, truth: GroundTruth | None = None,
-                   rng: np.random.Generator | None = None,
+                   rng: PCG64 | None = None,
                    next_id: int = 0) -> CommunityStructure:
     """Build the starting structure for snapshot `t`.
 
@@ -157,7 +158,7 @@ def init_structure(variant: VariantKind, t: int, carried: dict[int, set[int]],
     # reaches floor(seed_fraction * n); the community crossing the budget
     # is included in full.
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = PCG64(0)
     structure = CommunityStructure(next_id)
     node_set = set(nodes)
     groups = truth.communities_for(t)

@@ -5,23 +5,23 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .gain_functions import GainContext
 from .game_engine import GameConfig, SnapshotResult, run_snapshot
 from .initialization import GroundTruth, VariantKind, carry, init_structure
 from .metrics import modularity_directed, modularity_undirected, nmi
+from .rng import PCG64, SeedSequence
 from .snapshot_graph import SnapshotSequence
 
 
 def derive_seeds(master_seed: int, repetition: int, t: int) -> tuple[int, int]:
     """Two 64-bit seeds for (repetition, snapshot): the first drives the
-    game, the second the initialization.  Documented derivation:
-    SeedSequence(master_seed, spawn_key=(repetition, t)).generate_state(2).
+    game, the second the initialization.  Documented derivation: numpy's
+    SeedSequence(master_seed, spawn_key=(repetition, t)).generate_state(2,
+    np.uint64), reproduced bit for bit by `dgt.rng`, so no numpy release
+    can move the seeds.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=(repetition, t))
-    game_seed, init_seed = ss.generate_state(2, np.uint64)
-    return int(game_seed), int(init_seed)
+    game_seed, init_seed = SeedSequence(master_seed, (repetition, t)).generate_state(2)
+    return game_seed, init_seed
 
 
 def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConfig,
@@ -41,7 +41,7 @@ def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConf
         for rep, (carried, next_id) in state.items():
             game_seed, init_seed = derive_seeds(config.rng_seed, rep, t)
             initial = init_structure(variant, t, carried, graph, truth=truth, next_id=next_id,
-                                     rng=np.random.Generator(np.random.PCG64(init_seed)))
+                                     rng=PCG64(init_seed))
             structure, result = run_snapshot(graph, initial, replace(config, rng_seed=game_seed),
                                              ctx=ctx)
             state[rep] = carry(variant, carried, structure.memberships), structure.next_id

@@ -10,12 +10,14 @@ keep realistic edge-churn locality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 from .initialization import GroundTruth
 from .snapshot_graph import SnapshotGraph, SnapshotSequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ def _expected_edges(cfg: SynthConfig) -> float:
 
 
 def _prob_matrix(assignment: np.ndarray, cfg: SynthConfig) -> np.ndarray:
+    import numpy as np
+
     same = assignment[:, None] == assignment[None, :]
     probs = np.where(same, cfg.p_in, cfg.p_out)
     np.fill_diagonal(probs, 0.0)
@@ -56,6 +60,8 @@ def _prob_matrix(assignment: np.ndarray, cfg: SynthConfig) -> np.ndarray:
 
 
 def _attempt(cfg: SynthConfig, rng: np.random.Generator):
+    import numpy as np
+
     n = cfg.n
     assignment = np.repeat(np.arange(cfg.communities), cfg.community_size)
     adjacency = rng.random((n, n)) < _prob_matrix(assignment, cfg)
@@ -87,8 +93,11 @@ def generate(cfg: SynthConfig) -> tuple[SnapshotSequence, GroundTruth]:
 
     Node labels equal node ids (0..n-1).  If a sampled snapshot comes out
     edgeless the whole draw retries on a fresh seed stream; a config whose
-    expected edge count is zero is rejected outright.
+    expected edge count is zero is rejected outright.  numpy is imported
+    here, not with the package, so that `dgt run` never loads it.
     """
+    import numpy as np
+
     if _expected_edges(cfg) == 0.0:
         raise ConfigError("infeasible config: expected edge count is zero")
     n = cfg.n

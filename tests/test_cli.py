@@ -478,6 +478,16 @@ def pool_sizes(monkeypatch) -> list:
     return sizes
 
 
+def run_fresh(script: str, *args: str) -> str:
+    """stdout of `script` run with `args` in a fresh interpreter that
+    imports this source tree."""
+    src = str(Path(dgt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
 class TestRunMemory:
     # Prints the peak RSS in KiB of one `dgt run` in a fresh interpreter.
     # Not ru_maxrss: Linux carries the spawning process's peak over the
@@ -493,14 +503,9 @@ class TestRunMemory:
                                       rng_seed=3))
         edges = tmp_path / f"edges{snapshots}.txt"
         write_edge_list(seq, edges)
-        src = str(Path(dgt.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, "run", "--input", str(edges),
-             "--variant", "dgtp", "--max-passes", "1", "--repetitions", "2",
-             "--out", str(tmp_path / f"out{snapshots}")],
-            env=env, capture_output=True, text=True, check=True).stdout
+        out = run_fresh(self.SCRIPT, "run", "--input", str(edges),
+                        "--variant", "dgtp", "--max-passes", "1", "--repetitions", "2",
+                        "--out", str(tmp_path / f"out{snapshots}"))
         return int(out) / 1024
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
@@ -510,6 +515,20 @@ class TestRunMemory:
         # kept until the run ends, 52.3 MB above (63.3 MB)
         grown = self.peak_rss_mb(tmp_path, 9) - self.peak_rss_mb(tmp_path, 3)
         assert grown < 16.0
+
+
+class TestRunWithoutNumpy:
+    # numpy serves only dgt.synth: the run path draws its seeds, its play
+    # orders and dgtg's seeding order from dgt.rng
+    SCRIPT = ("import sys\nfrom dgt import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0\n"
+              "print('numpy' in sys.modules)\n")
+
+    def test_run_never_imports_numpy(self, data_dir, tmp_path):
+        out = run_fresh(self.SCRIPT, "run", "--input", str(data_dir / "edges.txt"),
+                        "--truth", str(data_dir / "truth.csv"), "--variant", "dgtg",
+                        "--seed-fraction", "0.3", "--diagnostics", "--out", str(tmp_path / "out"))
+        assert out.splitlines()[-1] == "False"
 
 
 class TestJobs:

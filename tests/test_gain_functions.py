@@ -352,6 +352,16 @@ class TestUtility:
         with pytest.raises(PreconditionError):
             utility(GainContext(g), 0, set(), st, "entropy")
 
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    def test_agent_outside_the_snapshot(self, gain):
+        g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)])
+        st, ids = structure_over(g, [0], [1], [2])
+        ctx = GainContext(g)
+        with pytest.raises(PreconditionError, match="agent 99 is not in the snapshot"):
+            utility(ctx, 99, {ids[0]}, st, gain)
+        with pytest.raises(PreconditionError, match="agent 99 is not in the snapshot"):
+            utility_delta(ctx, 99, Join(ids[0]), st, gain)
+
 
 class TestUtilityDelta:
     def test_noop_zero(self):

@@ -246,6 +246,15 @@ class TestGroundTruthIO:
         path.write_bytes(b"\xef\xbb\xbfsnapshot,node_label,community_label\n0,a,x\n")
         assert load_ground_truth(path, seq).by_snapshot == {0: {seq.label_to_id["a"]: "x"}}
 
+    def test_bad_row_named_by_its_physical_line(self, tmp_path):
+        # line 2 opens a quoted field that line 3 closes: the bad row is line 4
+        seq = load_edge_stream([("a", "b", 0)])
+        path = tmp_path / "truth.csv"
+        path.write_text('snapshot,node_label,community_label\n0,a,"x\ny"\nzz,b,x\n',
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=r"truth\.csv:4: bad snapshot ordinal 'zz'"):
+            load_ground_truth(path, seq)
+
     def test_bad_header(self, tmp_path):
         seq = load_edge_stream([("a", "b", 0)])
         path = tmp_path / "truth.csv"
