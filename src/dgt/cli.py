@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -164,6 +163,8 @@ def _run_all_reps(seq, variants, config, truth, args):
     # a fork pool starts all its workers up front: never more than tasks
     jobs = min(args.jobs, args.repetitions)
     if jobs > 1:
+        # imported here: the pool machinery costs memory a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                    initargs=fixed)
         play, rep_rows, tasks = pool.map, _worker_rep_rows, [[rep] for rep in reps]

@@ -94,7 +94,9 @@ class GainContext:
     most m plus the sum of squared in-degrees, whatever pairs the game
     scores.  Null-model values come from `null_row`, one table per
     distinct in-degree of the agents read, each max out-degree + 1 floats
-    long.  Safe to share across repeated runs on the same snapshot.
+    long.  A pair with no edge and w common out-neighbours holds the
+    one float w / n that every row shares.  Safe to share across repeated
+    runs on the same snapshot.
     """
 
     # Always False: bench/spans.py reads it for gain_functions.dense_contexts.
@@ -147,6 +149,13 @@ class GainContext:
     def _max_d_out(self) -> int:
         return max(self.d_out)
 
+    @cached_property
+    def _shared_values(self) -> list[float]:
+        """`_shared_values[w]` is w / n, the kernel value of a pair with no
+        edge and w >= 1 common out-neighbours; a row stores this one float
+        rather than a new one per pair."""
+        return [w / self.n for w in range(self._max_d_out + 1)]
+
     def _build_row(self, i: int) -> dict[int, float]:
         g = self.graph
         # w[j]: targets that both i and j point to, for every j sharing one
@@ -161,9 +170,10 @@ class GainContext:
             dd = float(d_in_i * d_out[j])
             wj = w.get(j, 0)
             row[j] = wj * (1.0 - dd / self.twom) if wj >= 1 else dd / self.fourm
+        shared = self._shared_values
         for j, wj in w.items():
             if j not in row:
-                row[j] = wj / self.n
+                row[j] = shared[wj]
         return row
 
 

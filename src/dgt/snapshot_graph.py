@@ -58,28 +58,38 @@ class SnapshotGraph:
         rejected.  `nodes` may declare additional (possibly isolated) node
         ids.
         """
-        outs: defaultdict[int, list[int]] = defaultdict(list)
-        ins: defaultdict[int, list[int]] = defaultdict(list)
+        targets: defaultdict[int, list[int]] = defaultdict(list)
         for i, j in edges:
             if i == j:
                 raise PreconditionError(f"self-edge on node {i} is not allowed")
-            outs[i].append(j)
-            ins[j].append(i)
-        node_ids = tuple(sorted(outs.keys() | ins.keys() | set(nodes)))
+            targets[i].append(j)
+        return cls._from_targets(targets, index_t, nodes)
+
+    @classmethod
+    def _from_targets(cls, targets: dict, index_t: int, nodes=()) -> "SnapshotGraph":
+        """Build a snapshot from `targets[i]`, a list of the targets of
+        source i that may repeat a target but never holds i.  Each list is
+        popped from `targets` as its node's tuple is made, so the lists and
+        the adjacency maps are never both held whole.
+        """
+        out_adj = {}
+        ins: defaultdict[int, list[int]] = defaultdict(list)
+        # sources in ascending order, so every in-list comes out sorted
+        for i in sorted(targets):
+            js = out_adj[i] = tuple(sorted(set(targets.pop(i))))
+            for j in js:
+                ins[j].append(i)
+        node_ids = tuple(sorted(out_adj.keys() | ins.keys() | set(nodes)))
         if not node_ids:
             raise PreconditionError("a snapshot must contain at least one node")
         if node_ids[0] < 0:
             raise PreconditionError(f"node id {node_ids[0]} is negative")
-        out_adj = {v: tuple(sorted(set(outs.pop(v, ())))) for v in node_ids}
-        in_adj = {v: tuple(sorted(set(ins.pop(v, ())))) for v in node_ids}
+        out_adj = {v: out_adj.pop(v, ()) for v in node_ids}
+        in_adj = {v: tuple(ins.pop(v, ())) for v in node_ids}
         return cls(index_t, node_ids, out_adj, in_adj)
 
     def has_node(self, i: int) -> bool:
         return i in self.out_adj
-
-    def edge_set(self) -> frozenset:
-        """Every (source, target) pair, built anew on each call."""
-        return frozenset((i, j) for i, js in self.out_adj.items() for j in js)
 
     def __eq__(self, other):
         if not isinstance(other, SnapshotGraph):
@@ -154,7 +164,9 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     raises (a parse error) comes first.
     """
     label_to_id: dict = {}
-    buckets: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+    # per input ordinal: source id -> its target ids, repeats included
+    buckets: defaultdict[int, defaultdict[int, list[int]]] = defaultdict(
+        lambda: defaultdict(list))
     kept = 0
     self_dropped = 0
     records = iter(records)
@@ -170,9 +182,9 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
             self_dropped += 1
             continue
         kept += 1
-        bucket.add((i, j))
+        bucket[i].append(j)
         if undirected:
-            bucket.add((j, i))
+            bucket[j].append(i)
     if not buckets:
         raise FormatError("no edges")
 
@@ -183,21 +195,24 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
             raise FormatError(f"negative snapshot ordinal {t} in node list")
         declared.setdefault(t, set()).add(label_to_id.setdefault(label, len(label_to_id)))
 
-    # each record added 1 (2 if undirected) edges; the buckets kept the rest
-    duplicates = (2 if undirected else 1) * kept - sum(map(len, buckets.values()))
+    dense = {t: k for k, t in enumerate(sorted(buckets.keys() | declared.keys()))}
+    snapshots = []
+    edgeless = []
+    for raw, k in dense.items():
+        targets = buckets.pop(raw, None)
+        if not targets:
+            edgeless.append(raw)
+            continue
+        snapshots.append(SnapshotGraph._from_targets(targets, k, declared.get(raw, ())))
+
+    # each record added 1 (2 if undirected) edges; the snapshots kept the rest
+    duplicates = (2 if undirected else 1) * kept - sum(g.m for g in snapshots)
     if self_dropped:
         logger.warning("dropped %d self-edge(s) from input", self_dropped)
     if duplicates:
         logger.warning("collapsed %d duplicate edge(s) in input", duplicates)
-
-    dense = {t: k for k, t in enumerate(sorted(buckets.keys() | declared.keys()))}
-    snapshots = []
-    for raw, k in dense.items():
-        edges = buckets.pop(raw, None)
-        if not edges:
-            raise FormatError(f"snapshot {raw} has no edges")
-        snapshots.append(SnapshotGraph.from_edges(edges, index_t=k,
-                                                  nodes=declared.get(raw, ())))
+    if edgeless:
+        raise FormatError(f"snapshot {edgeless[0]} has no edges")
 
     return SnapshotSequence(
         snapshots=snapshots,
@@ -211,19 +226,26 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
 
 def diff(prev: SnapshotGraph, next: SnapshotGraph) -> ChangeStats:
     """Edge additions/deletions between consecutive snapshots and the
-    number of nodes incident to any changed edge."""
-    e_prev = prev.edge_set()
-    e_next = next.edge_set()
-    added = e_next - e_prev
-    deleted = e_prev - e_next
+    number of nodes incident to any changed edge.
+
+    Walks the nodes of either snapshot and skips one whose out-tuples are
+    equal; for any other it takes the set differences of its targets, so
+    the memory it holds beyond the count of changed nodes is bounded by
+    the largest out-degree.
+    """
+    added = deleted = 0
     touched = set()
-    for i, j in added:
+    for i in prev.out_adj.keys() | next.out_adj.keys():
+        before, after = prev.out_adj.get(i, ()), next.out_adj.get(i, ())
+        if before == after:
+            continue
+        gone, new = set(before).difference(after), set(after).difference(before)
+        deleted += len(gone)
+        added += len(new)
         touched.add(i)
-        touched.add(j)
-    for i, j in deleted:
-        touched.add(i)
-        touched.add(j)
-    return ChangeStats(len(added), len(deleted), len(touched))
+        touched.update(gone)
+        touched.update(new)
+    return ChangeStats(added, deleted, len(touched))
 
 
 def _text_lines(path) -> Iterator[tuple[int, str]]:
@@ -330,9 +352,10 @@ def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
     bucketed into windows of W seconds starting at the earliest timestamp
     (the snapshot column may then be omitted entirely).
 
-    The file is streamed line by line into the per-snapshot edge sets, so
-    no list of all records is held (except in window mode, which must find
-    the earliest timestamp first).
+    The file is streamed line by line into per-snapshot lists of each
+    source's targets, so no list of all records is held (except in window
+    mode, which must find the earliest timestamp first), and the loader's
+    peak stays near the size of the graph it returns.
     """
     return load_edge_stream(
         _edge_records(path, snapshot_by),

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from dgt.errors import FormatError, PreconditionError
-from dgt.snapshot_graph import SnapshotGraph, SnapshotSequence
+from dgt.snapshot_graph import ChangeStats, SnapshotGraph, SnapshotSequence
 
 
 def similarity_oracle(g: SnapshotGraph, i: int, j: int) -> float:
@@ -280,6 +280,19 @@ def common_neighbors(g: SnapshotGraph, i: int, j: int) -> int:
     return len(set(g.out_adj[i]) & set(g.out_adj[j]))
 
 
+def edge_set(g: SnapshotGraph) -> frozenset:
+    """Every (source, target) pair of the snapshot."""
+    return frozenset((i, j) for i, js in g.out_adj.items() for j in js)
+
+
+def diff_oracle(prev: SnapshotGraph, next: SnapshotGraph) -> ChangeStats:
+    """Churn from the two snapshots' whole edge sets."""
+    e_prev, e_next = edge_set(prev), edge_set(next)
+    added, deleted = e_next - e_prev, e_prev - e_next
+    touched = {v for pair in added | deleted for v in pair}
+    return ChangeStats(len(added), len(deleted), len(touched))
+
+
 def sparse_pairs_oracle(g: SnapshotGraph, i: int) -> set[int]:
     """The nodes j whose pair (i, j) leaves the kernel's null-model branch:
     i's out-neighbours and every node sharing an out-neighbour with i."""
@@ -290,20 +303,20 @@ def sparse_pairs_oracle(g: SnapshotGraph, i: int) -> set[int]:
 def from_edges_oracle(edges, index_t: int = 0, nodes=()) -> SnapshotGraph:
     """The set-of-pairs snapshot builder: every pair goes into one set
     before either adjacency map is filled."""
-    edge_set = set()
+    pairs = set()
     for i, j in edges:
         if i == j:
             raise PreconditionError(f"self-edge on node {i} is not allowed")
-        edge_set.add((i, j))
+        pairs.add((i, j))
     node_ids = set(nodes)
-    for i, j in edge_set:
+    for i, j in pairs:
         node_ids.add(i)
         node_ids.add(j)
     if not node_ids:
         raise PreconditionError("a snapshot must contain at least one node")
     out_adj = {v: [] for v in node_ids}
     in_adj = {v: [] for v in node_ids}
-    for i, j in edge_set:
+    for i, j in pairs:
         out_adj[i].append(j)
         in_adj[j].append(i)
     out_adj = {v: tuple(sorted(js)) for v, js in out_adj.items()}

@@ -1,4 +1,5 @@
 import builtins
+import concurrent.futures
 import csv
 import hashlib
 import importlib
@@ -474,7 +475,7 @@ def pool_sizes(monkeypatch) -> list:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -531,6 +532,18 @@ class TestRunWithoutNumpy:
         assert out.splitlines()[-1] == "False"
 
 
+class TestRunWithoutPool:
+    # the process pool is imported only when --jobs is above 1
+    SCRIPT = ("import sys\nfrom dgt import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+
+    def test_serial_run_never_imports_the_pool(self, data_dir, tmp_path):
+        out = run_fresh(self.SCRIPT, "run", "--input", str(data_dir / "edges.txt"),
+                        "--repetitions", "2", "--out", str(tmp_path / "out"))
+        assert out.splitlines()[-1] == "[]"
+
+
 class TestJobs:
     def run(self, data_dir, tmp_path, jobs):
         return cli.main([
@@ -576,7 +589,7 @@ class TestJobs:
                 sent.extend(len(pickle.dumps((fn, item))) for item in items)
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         assert self.run(data_dir, tmp_path, "2") == 0
         sequence_bytes = len(pickle.dumps(read_edge_list(data_dir / "edges.txt")))
         assert len(sent) == 2

@@ -12,6 +12,7 @@ from dgt.metrics import (
 from dgt.snapshot_graph import SnapshotGraph
 
 from oracles import (
+    edge_set,
     modularity_directed_oracle,
     modularity_undirected_oracle,
     nmi_oracle,
@@ -178,7 +179,7 @@ class TestSymmetrizedEquivalence:
         for _ in range(20):
             g = random_digraph(rng, 18)
             sym_edges = set()
-            for i, j in g.edge_set():
+            for i, j in edge_set(g):
                 sym_edges.add((i, j))
                 sym_edges.add((j, i))
             gs = SnapshotGraph.from_edges(sym_edges, nodes=g.nodes)

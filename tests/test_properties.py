@@ -24,11 +24,19 @@ from dgt.game_engine import (
     _totals,
     run_snapshot,
 )
-from dgt.snapshot_graph import SnapshotGraph, load_edge_stream, read_edge_list, write_edge_list
+from dgt.snapshot_graph import (
+    SnapshotGraph,
+    diff,
+    load_edge_stream,
+    read_edge_list,
+    write_edge_list,
+)
 
 from oracles import (
     SimilarityWalksOracle,
     contribution_oracle,
+    diff_oracle,
+    edge_set,
     from_edges_oracle,
     load_edge_stream_oracle,
     parse_edge_file_oracle,
@@ -409,6 +417,56 @@ def test_from_edges_equals_set_of_pairs_oracle(edges, nodes):
     assert [built.has_node(v) for v in ids] == [v in reference.nodes for v in ids]
 
 
+@st.composite
+def snapshot_pairs(draw) -> tuple[SnapshotGraph, SnapshotGraph]:
+    """Two snapshots whose node sets may differ (declared isolated nodes
+    included); in some pairs both hold the same edges."""
+    def snapshot(index_t):
+        edges = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                              .filter(lambda p: p[0] != p[1]), min_size=1))
+        nodes = draw(st.lists(st.integers(0, 9), max_size=3))
+        return SnapshotGraph.from_edges(edges, index_t=index_t, nodes=nodes)
+
+    prev = snapshot(0)
+    same = draw(st.booleans())
+    return prev, SnapshotGraph.from_edges(edge_set(prev), index_t=1) if same else snapshot(1)
+
+
+@PROPERTY_SETTINGS
+@given(pair=snapshot_pairs())
+def test_diff_equals_edge_set_oracle(pair):
+    prev, next_ = pair
+    assert diff(prev, next_) == diff_oracle(prev, next_)
+    assert diff(next_, prev) == diff_oracle(next_, prev)
+
+
+@PROPERTY_SETTINGS
+@given(records=st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"),
+                                  st.integers(0, 3)), min_size=1),
+       undirected=st.booleans())
+def test_load_edge_stream_equals_from_edges(records, undirected):
+    loaded = _outcome(lambda: load_edge_stream(records, undirected=undirected))
+    ids: dict = {}
+    pairs_by_t: dict[int, list] = {t: [] for t in sorted({t for *_, t in records})}
+    for src, dst, t in records:
+        i, j = ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids))
+        if i != j:
+            pairs_by_t[t] += [(i, j), (j, i)] if undirected else [(i, j)]
+    edgeless = [t for t, pairs in pairs_by_t.items() if not pairs]
+    if edgeless:
+        assert loaded == (FormatError, f"snapshot {edgeless[0]} has no edges")
+        return
+    expected = [SnapshotGraph.from_edges(pairs, index_t=k)
+                for k, pairs in enumerate(pairs_by_t.values())]
+    for built, reference in zip(loaded.snapshots, expected, strict=True):
+        for name in ("index_t", "nodes", "out_adj", "in_adj", "n", "m", "max_node"):
+            assert getattr(built, name) == getattr(reference, name), name
+        assert list(built.out_adj) == list(built.in_adj) == list(built.nodes)
+    assert loaded.self_edges_dropped == sum(src == dst for src, dst, _ in records)
+    assert loaded.duplicates_collapsed == (sum(map(len, pairs_by_t.values()))
+                                           - sum(g.m for g in expected))
+
+
 @pytest.fixture(scope="module")
 def scratch_dir():
     with tempfile.TemporaryDirectory() as tmp:
@@ -462,8 +520,8 @@ def test_write_then_read_keeps_every_labeled_edge(scratch_file, records):
     assert (reloaded.self_edges_dropped, reloaded.duplicates_collapsed) == (0, 0)
     for g1, g2 in zip(seq.snapshots, reloaded.snapshots):
         assert g2.index_t == g1.index_t
-        assert ({(str(seq.label_of(i)), str(seq.label_of(j))) for i, j in g1.edge_set()}
-                == {(reloaded.label_of(i), reloaded.label_of(j)) for i, j in g2.edge_set()})
+        assert ({(str(seq.label_of(i)), str(seq.label_of(j))) for i, j in edge_set(g1)}
+                == {(reloaded.label_of(i), reloaded.label_of(j)) for i, j in edge_set(g2)})
         assert {str(seq.label_of(v)) for v in g1.nodes} == {reloaded.label_of(v) for v in g2.nodes}
 
 

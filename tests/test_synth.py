@@ -6,6 +6,8 @@ from dgt.errors import ConfigError
 from dgt.snapshot_graph import diff
 from dgt.synth import SynthConfig, generate
 
+from oracles import edge_set
+
 
 class TestSynthConfig:
     def test_probability_ordering_enforced(self):
@@ -38,7 +40,7 @@ class TestGenerate:
         seq2, truth2 = generate(self.CFG)
         assert truth1.by_snapshot == truth2.by_snapshot
         for g1, g2 in zip(seq1.snapshots, seq2.snapshots):
-            assert g1.edge_set() == g2.edge_set()
+            assert edge_set(g1) == edge_set(g2)
 
     def test_shapes(self):
         seq, truth = generate(self.CFG)
@@ -70,15 +72,15 @@ class TestGenerate:
                           churn=0.0, num_snapshots=3, rng_seed=1)
         seq, truth = generate(cfg)
         assert truth.labels_for(0) == truth.labels_for(1) == truth.labels_for(2)
-        first = seq.snapshots[0].edge_set()
-        assert all(g.edge_set() == first for g in seq.snapshots)
+        first = edge_set(seq.snapshots[0])
+        assert all(edge_set(g) == first for g in seq.snapshots)
 
     def test_zero_out_probability_separates_blocks(self):
         cfg = SynthConfig(communities=2, community_size=10, p_in=0.5, p_out=0.0,
                           churn=0.0, num_snapshots=1, rng_seed=2)
         seq, truth = generate(cfg)
         labels = truth.labels_for(0)
-        for i, j in seq.snapshots[0].edge_set():
+        for i, j in edge_set(seq.snapshots[0]):
             assert labels[i] == labels[j]
 
     def test_resampling_touches_only_moved_nodes(self):
@@ -87,7 +89,7 @@ class TestGenerate:
             prev, cur = truth.labels_for(t - 1), truth.labels_for(t)
             moved = {v for v in cur if prev[v] != cur[v]}
             changed_edges = (
-                seq.snapshots[t].edge_set() ^ seq.snapshots[t - 1].edge_set()
+                edge_set(seq.snapshots[t]) ^ edge_set(seq.snapshots[t - 1])
             )
             for i, j in changed_edges:
                 assert i in moved or j in moved
@@ -99,7 +101,7 @@ class TestGenerate:
         labels = truth.labels_for(0)
         intra_pairs = cfg.communities * cfg.community_size * (cfg.community_size - 1)
         intra_edges = sum(
-            1 for i, j in seq.snapshots[0].edge_set() if labels[i] == labels[j]
+            1 for i, j in edge_set(seq.snapshots[0]) if labels[i] == labels[j]
         )
         sigma = math.sqrt(intra_pairs * cfg.p_in * (1 - cfg.p_in))
         assert abs(intra_edges - intra_pairs * cfg.p_in) <= 3 * sigma
