@@ -127,13 +127,27 @@ def _make_config(args, trace: bool) -> GameConfig:
                       trace=trace)
 
 
-def _rep_rows(seq, config, truth, undirected, unlabeled, variant, reps):
-    """For each repetition in `reps`, its (result, nmi, modularity, true
-    count) per snapshot."""
-    return [[(result, *evaluate_outcome(seq, t, result, truth=truth, undirected=undirected,
-                                        unlabeled_as_community=unlabeled))
-             for t, result in enumerate(results)]
-            for results in run_repetition(seq, variant, config, truth=truth, repetitions=reps)]
+def _rep_rows(seq, config, truth, undirected, unlabeled, out_dir, variant, reps):
+    """For each repetition in `reps`, one row per snapshot: (communities
+    found, whether the game stopped at the pass cap, nmi, modularity, true
+    count).
+
+    With an `out_dir`, each game's partition file, and its diagnostics file
+    under `config.trace`, is written as soon as the game ends, so no
+    partition outlives its game; without one nothing is written.
+    """
+    def game_row(t, rep, result):
+        if out_dir is not None:
+            write_csv(out_dir / f"communities_t{t}_rep{rep}.csv",
+                      ["node_label", "community_id"],
+                      [(seq.label_of(v), k) for v, k in sorted(result.partition.items())])
+            if config.trace:
+                _write_diagnostics(out_dir / f"diagnostics_t{t}_rep{rep}.csv", result)
+        return (result.n_communities, result.stop_reason == "pass_cap",
+                *evaluate_outcome(seq, t, result, truth=truth, undirected=undirected,
+                                  unlabeled_as_community=unlabeled))
+
+    return run_repetition(seq, variant, config, truth=truth, repetitions=reps, on_game=game_row)
 
 
 # The leading `_rep_rows` arguments of a --jobs pool worker, set once when
@@ -150,15 +164,16 @@ def _worker_rep_rows(variant, reps):
     return _rep_rows(*_worker_fixed, variant, reps)
 
 
-def _run_all_reps(seq, variants, config, truth, args):
+def _run_all_reps(seq, variants, config, truth, args, out_dir=None):
     """Yields, for each variant in turn, the `_rep_rows` of every repetition,
     then warns once if any of the games stopped at the pass cap.
 
     With --jobs one process pool serves every variant: its workers get the
-    fixed arguments once, and a task carries only the variant and one rep.
+    fixed arguments once, a task carries only the variant and one rep, and
+    it returns only that rep's rows, having written its own files.
     Without it, one task plays every repetition snapshot by snapshot.
     """
-    fixed = (seq, config, truth, args.undirected, args.unlabeled_as_community)
+    fixed = (seq, config, truth, args.undirected, args.unlabeled_as_community, out_dir)
     reps = range(args.repetitions)
     # a fork pool starts all its workers up front: never more than tasks
     jobs = min(args.jobs, args.repetitions)
@@ -178,7 +193,7 @@ def _run_all_reps(seq, variants, config, truth, args):
                        for rows in task]
             for rows in per_rep:
                 games += len(rows)
-                capped += sum(result.stop_reason == "pass_cap" for result, *_ in rows)
+                capped += sum(at_cap for _, at_cap, *_ in rows)
             yield per_rep
     if capped:
         logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
@@ -207,22 +222,13 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # unpacking reads the generator to its end, which reports the pass cap
-    [per_rep] = _run_all_reps(seq, [variant], config, truth, args)
-
-    for rep, rows in enumerate(per_rep):
-        for t, (result, *_) in enumerate(rows):
-            write_csv(out_dir / f"communities_t{t}_rep{rep}.csv",
-                      ["node_label", "community_id"],
-                      [(seq.label_of(v), k) for v, k in sorted(result.partition.items())])
-            if args.diagnostics:
-                _write_diagnostics(out_dir / f"diagnostics_t{t}_rep{rep}.csv", result)
+    [per_rep] = _run_all_reps(seq, [variant], config, truth, args, out_dir)
 
     report_rows = []
     # zip(*per_rep) gives each snapshot's rows across the repetitions
     for t, snapshot_rows in enumerate(zip(*per_rep)):
-        results, nmis, mods, n_trues = zip(*snapshot_rows)
-        report_rows.append((t, _mean(r.n_communities for r in results), n_trues[0],
-                            _mean(nmis), _mean(mods)))
+        counts, _, nmis, mods, n_trues = zip(*snapshot_rows)
+        report_rows.append((t, _mean(counts), n_trues[0], _mean(nmis), _mean(mods)))
     write_metrics_report(out_dir / "metrics.csv", report_rows)
     write_churn_report(seq, out_dir / "churn.csv")
     return 0
@@ -255,7 +261,7 @@ def cmd_sweep(args) -> int:
     # strict: zip reads the generator to its end, which closes the pool
     per_variant = _run_all_reps(seq, variants, config, truth, args)
     for fraction, per_rep in zip(fractions, per_variant, strict=True):
-        rep_means = [_mean(score for _, score, _, _ in rep_rows) for rep_rows in per_rep]
+        rep_means = [_mean(score for _, _, score, _, _ in rep_rows) for rep_rows in per_rep]
         rep_means = [m for m in rep_means if m is not None]
         mean, std = _mean_std(rep_means) if rep_means else (float("nan"), 0.0)
         rows.append((fraction, mean, std))

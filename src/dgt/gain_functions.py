@@ -95,8 +95,9 @@ class GainContext:
     scores.  Null-model values come from `null_row`, one table per
     distinct in-degree of the agents read, each max out-degree + 1 floats
     long.  A pair with no edge and w common out-neighbours holds the
-    one float w / n that every row shares.  Safe to share across repeated
-    runs on the same snapshot.
+    one float w / n that every row shares, and an edge holds the one float
+    its w and d_in * d_out give.  Safe to share across repeated runs on the
+    same snapshot.
     """
 
     # Always False: bench/spans.py reads it for gain_functions.dense_contexts.
@@ -117,6 +118,10 @@ class GainContext:
             self.d_in[v] = len(graph.in_adj[v])
             self.d_out[v] = len(graph.out_adj[v])
         self._rows: dict[int, dict[int, float]] = {}
+        # (w, d_in[i] * d_out[j]) -> the kernel value of an edge (i, j) with
+        # w common out-neighbours: the two integers fix the float, so every
+        # row shares one float per pair of them
+        self._edge_values: dict[tuple[int, int], float] = {}
 
     def kernel_row(self, agent: int) -> dict[int, float]:
         """The agent's sparse kernel row: `row[j]` is the kernel value of
@@ -166,10 +171,15 @@ class GainContext:
                     w[j] = w.get(j, 0) + 1
         row: dict[int, float] = {}
         d_in_i, d_out = self.d_in[i], self.d_out
+        edge_values = self._edge_values
         for j in g.out_adj[i]:
-            dd = float(d_in_i * d_out[j])
-            wj = w.get(j, 0)
-            row[j] = wj * (1.0 - dd / self.twom) if wj >= 1 else dd / self.fourm
+            key = (w.get(j, 0), d_in_i * d_out[j])
+            value = edge_values.get(key)
+            if value is None:
+                wj, dd = key[0], float(key[1])
+                value = edge_values[key] = (wj * (1.0 - dd / self.twom) if wj >= 1
+                                            else dd / self.fourm)
+            row[j] = value
         shared = self._shared_values
         for j, wj in w.items():
             if j not in row:

@@ -329,7 +329,8 @@ def _hard_assignment(ctx: GainContext, structure: CommunityStructure, gain: str)
 
 
 def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: GameConfig,
-                 ctx: GainContext | None = None) -> tuple[CommunityStructure, SnapshotResult]:
+                 ctx: GainContext | None = None, *,
+                 copy: bool = True) -> tuple[CommunityStructure, SnapshotResult]:
     """Play the community formation game to convergence on one snapshot.
 
     Agents are visited once per pass in a fresh uniform permutation and
@@ -339,6 +340,10 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     that holds a label must be a node of `graph`.  Returns the evolved
     multi-membership structure, whose `memberships` seed the carry-over of
     later snapshots, and the hard-assigned result.
+
+    The game plays on a copy of `initial`.  With `copy=False` it plays on
+    `initial` itself, which the caller hands over: the structure returned
+    is then `initial`, evolved in place, and no second structure is held.
     """
     problems = initial.audit()
     if problems:
@@ -351,7 +356,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     elif ctx.graph is not graph:
         raise PreconditionError("ctx was built for a different snapshot")
 
-    structure = initial.copy()
+    structure = initial.copy() if copy else initial
     for agent in graph.nodes:
         structure.add_agent(agent)
 

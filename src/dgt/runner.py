@@ -3,6 +3,7 @@ the repetitions, and metric evaluation shared by the CLI and the demos."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import replace
 
 from .gain_functions import GainContext
@@ -25,29 +26,52 @@ def derive_seeds(master_seed: int, repetition: int, t: int) -> tuple[int, int]:
 
 
 def run_repetition(seq: SnapshotSequence, variant: VariantKind, config: GameConfig,
-                   truth: GroundTruth | None = None,
-                   repetitions=range(1)) -> list[list[SnapshotResult]]:
+                   truth: GroundTruth | None = None, repetitions=range(1),
+                   on_game: Callable[[int, int, SnapshotResult], object] | None = None,
+                   ) -> list[list]:
     """Play every snapshot of `seq` for each repetition number in
-    `repetitions`, seeded by `derive_seeds`; results are indexed [rep][t].
+    `repetitions`, seeded by `derive_seeds`; the entries returned are
+    indexed [rep][t].  An entry is the game's SnapshotResult or, given
+    `on_game`, what `on_game(t, rep, result)` returns; it is called as
+    each game ends, so a caller that keeps only a summary of each game
+    holds no result past its game.
 
     Snapshot t's one GainContext serves every repetition and is dropped
-    before snapshot t + 1 is built; between snapshots a repetition keeps
-    only its carried map (`initialization.carry`) and its id counter.
+    before snapshot t + 1 is built.  A game plays on the structure
+    `init_structure` built, not on a copy; dgts, dgtp and dgtg drop their
+    carried map before play, since only dgt reads it after the game.
+    Between snapshots a repetition keeps only its carried map
+    (`initialization.carry`) and its id counter.
     """
-    results = {rep: [] for rep in repetitions}
-    state = {rep: ({}, 0) for rep in results}
+    entries = {rep: [] for rep in repetitions}
+    carried = {rep: {} for rep in entries}
+    next_ids = dict.fromkeys(entries, 0)
     for t, graph in enumerate(seq.snapshots):
         ctx = GainContext(graph)
-        for rep, (carried, next_id) in state.items():
+        # over the keys: an items() iterator would keep the last map alive
+        for rep in entries:
             game_seed, init_seed = derive_seeds(config.rng_seed, rep, t)
-            initial = init_structure(variant, t, carried, graph, truth=truth, next_id=next_id,
-                                     rng=PCG64(init_seed))
-            structure, result = run_snapshot(graph, initial, replace(config, rng_seed=game_seed),
-                                             ctx=ctx)
-            state[rep] = carry(variant, carried, structure.memberships), structure.next_id
-            results[rep].append(result)
+            structure = init_structure(variant, t, carried[rep], graph, truth=truth,
+                                       next_id=next_ids[rep], rng=PCG64(init_seed))
+            if variant.kind != "dgt":
+                carried[rep] = {}  # read only to build the start: released before play
+            structure, result = run_snapshot(graph, structure,
+                                             replace(config, rng_seed=game_seed), ctx=ctx,
+                                             copy=False)
+            carried[rep] = carry(variant, carried[rep], structure.memberships)
+            next_ids[rep] = structure.next_id
+            # neither may outlive this game: the names are rebound only
+            # after the next structure is built and its game played
+            del structure
+            entries[rep].append(on_game(t, rep, result) if on_game else result)
+            del result
         del ctx
-    return list(results.values())
+    return list(entries.values())
+
+
+# The reference label of the nodes ground truth leaves unlabeled: an object
+# no truth label can equal, whatever the truth file names its communities.
+_UNLABELED = object()
 
 
 def evaluate_outcome(seq: SnapshotSequence, t: int, result: SnapshotResult,
@@ -69,7 +93,7 @@ def evaluate_outcome(seq: SnapshotSequence, t: int, result: SnapshotResult,
     if not labels:
         return None, mod, None
     if unlabeled_as_community:
-        reference = {v: labels.get(v, "__unlabeled__") for v in graph.nodes}
+        reference = {v: labels.get(v, _UNLABELED) for v in graph.nodes}
         predicted = dict(partition)
     else:
         covered = [v for v in graph.nodes if v in labels]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -269,8 +270,8 @@ def _edge_rows(path) -> Iterator[tuple[int, list[str]]]:
 
 
 def _edge_records(path, snapshot_by: str):
-    """Loader records of an edge-list file: a generator in column mode, a
-    list in window mode.  The mode is checked before the file is opened."""
+    """A generator of the loader records of an edge-list file.  The mode
+    is checked before the file is opened."""
     if snapshot_by == "column":
         return _column_records(path)
     if not snapshot_by.startswith("window:"):
@@ -281,6 +282,10 @@ def _edge_records(path, snapshot_by: str):
         raise FormatError(f"bad window width in {snapshot_by!r}") from exc
     if not math.isfinite(window) or window <= 0:
         raise FormatError("window width must be positive and finite")
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a pipe or a terminal would be empty on the second read
+        raise FormatError(f"{path}: window mode reads its input twice, so it must be "
+                          "a regular file")
     return _window_records(path, window)
 
 
@@ -301,28 +306,36 @@ def _column_records(path) -> Iterator[tuple[str, str, int]]:
         raise FormatError(bad_ordinal)
 
 
-def _window_records(path, window: float) -> list[tuple[str, str, int]]:
+def _window_records(path, window: float) -> Iterator[tuple[str, str, int]]:
     """Records with the last column bucketed into windows from the earliest
-    timestamp; the whole file is read first to find that timestamp."""
-    rows = list(_edge_rows(path))
-    stamps = []
-    for lineno, parts in rows:
+    timestamp.  The file is read twice: the first pass checks every line
+    and finds that timestamp, holding nothing else; the second streams the
+    records.  A short line anywhere in the file is reported before any bad
+    timestamp, and both before a timestamp too far from the earliest."""
+    t0 = math.inf
+    bad_stamp = None
+    for lineno, parts in _edge_rows(path):
         try:
             ts = float(parts[-1])
-        except ValueError as exc:
+        except ValueError:
+            ts = None
+        if ts is None or not math.isfinite(ts):
+            if bad_stamp is None:
+                kind = "bad" if ts is None else "non-finite"
+                bad_stamp = f"{path}:{lineno}: {kind} timestamp {parts[-1]!r}"
+            continue
+        t0 = min(t0, ts)
+    if bad_stamp is not None:
+        raise FormatError(bad_stamp)
+    for lineno, parts in _edge_rows(path):
+        try:
+            bucket = (float(parts[-1]) - t0) // window
+        except ValueError as exc:  # the file changed between the passes
             raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from exc
-        if not math.isfinite(ts):
-            raise FormatError(f"{path}:{lineno}: non-finite timestamp {parts[-1]!r}")
-        stamps.append(ts)
-    t0 = min(stamps) if stamps else 0.0
-    records = []
-    for (lineno, parts), ts in zip(rows, stamps):
-        bucket = (ts - t0) // window
         if not math.isfinite(bucket):
             raise FormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is too far "
                               f"from the earliest for window width {window!r}")
-        records.append((parts[0], parts[1], int(bucket)))
-    return records
+        yield parts[0], parts[1], int(bucket)
 
 
 def parse_node_file(path):
@@ -353,9 +366,9 @@ def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
     (the snapshot column may then be omitted entirely).
 
     The file is streamed line by line into per-snapshot lists of each
-    source's targets, so no list of all records is held (except in window
-    mode, which must find the earliest timestamp first), and the loader's
-    peak stays near the size of the graph it returns.
+    source's targets, so no list of all records is held (window mode reads
+    the file once more beforehand, to find the earliest timestamp), and
+    the loader's peak stays near the size of the graph it returns.
     """
     return load_edge_stream(
         _edge_records(path, snapshot_by),

@@ -210,6 +210,24 @@ class TestRun:
         assert runs[True] == runs[False]
         assert runs[True][-1]["nmi"] == "0.5897275217561566±0.0"
 
+    def test_truth_community_named_like_the_pooled_unlabeled_stays_its_own(self, tmp_path):
+        # d is alone in its truth community and e, f are unlabeled: pooled
+        # under a name, a community of that name joined the pool (NMI 0.558)
+        (tmp_path / "edges.txt").write_text(
+            "a b 0\nb c 0\nc a 0\nc d 0\nd e 0\ne f 0\nf d 0\n", encoding="utf-8")
+        nmis = []
+        for name in ("y", "__unlabeled__"):
+            (tmp_path / "truth.csv").write_text(
+                f"snapshot,node_label,community_label\n0,a,x\n0,b,x\n0,c,x\n0,d,{name}\n",
+                encoding="utf-8")
+            out = tmp_path / f"out-{name}"
+            rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                           "--truth", str(tmp_path / "truth.csv"), "--variant", "dgts",
+                           "--unlabeled-as-community", "--repetitions", "1", "--out", str(out)])
+            assert rc == 0
+            nmis.append(read_csv(out / "metrics.csv")[0]["nmi"])
+        assert nmis == ["0.7216162598446756"] * 2
+
     @pytest.mark.parametrize("width", ["nan", "inf"])
     def test_non_finite_window_exits_one(self, tmp_path, capsys, width):
         edge_file = tmp_path / "edges.txt"
@@ -314,6 +332,24 @@ class TestRun:
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("variant_args", [
+        ("--variant", "dgt"),
+        ("--variant", "dgtp"),
+        ("--variant", "dgtg", "--seed-fraction", "0.3"),
+        ("--variant", "dgts"),
+    ], ids=lambda args: args[1])
+    def test_games_play_on_their_initial_structure(self, data_dir, tmp_path, monkeypatch,
+                                                   variant_args):
+        # the runner hands each game the structure `init_structure` built
+        def refuse(structure):
+            raise AssertionError("a game copied its initial structure")
+
+        monkeypatch.setattr(game_engine.CommunityStructure, "copy", refuse)
+        rc = cli.main(["run", "--input", str(data_dir / "edges.txt"),
+                       "--truth", str(data_dir / "truth.csv"), *variant_args,
+                       "--repetitions", "2", "--out", str(tmp_path / "out")])
+        assert rc == 0
 
 
 def _sum_without_floats(values, start=0):
@@ -479,6 +515,35 @@ def pool_sizes(monkeypatch) -> list:
     return sizes
 
 
+@pytest.fixture
+def pickled_sizes(monkeypatch) -> dict:
+    """Replaces the process pool with one that runs its initializer and
+    every task in this process, and records the pickled size of each task
+    sent ("sent") and of each task's result ("returned")."""
+    sizes = {"sent": [], "returned": []}
+
+    class PicklingPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            sizes["sent"].extend(len(pickle.dumps((fn, item))) for item in items)
+            results = [fn(item) for item in items]
+            sizes["returned"].extend(len(pickle.dumps(result)) for result in results)
+            return results
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    return sizes
+
+
 def run_fresh(script: str, *args: str) -> str:
     """stdout of `script` run with `args` in a fresh interpreter that
     imports this source tree."""
@@ -568,32 +633,27 @@ class TestJobs:
         assert pool_sizes == [2]
         assert len(read_csv(tmp_path / "out" / "sweep.csv")) == 3
 
-    def test_tasks_do_not_carry_the_sequence(self, data_dir, tmp_path, monkeypatch):
-        sent = []
-
-        class PicklingPool:
-            """Runs tasks in this process and records each task's pickled size."""
-
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                if initializer is not None:
-                    initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                sent.extend(len(pickle.dumps((fn, item))) for item in items)
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    def test_tasks_do_not_carry_the_sequence(self, data_dir, tmp_path, pickled_sizes):
         assert self.run(data_dir, tmp_path, "2") == 0
         sequence_bytes = len(pickle.dumps(read_edge_list(data_dir / "edges.txt")))
-        assert len(sent) == 2
-        assert max(sent) < sequence_bytes / 4
+        assert len(pickled_sizes["sent"]) == 2
+        assert max(pickled_sizes["sent"]) < sequence_bytes / 4
+
+    def test_tasks_return_no_partition(self, tmp_path, pickled_sizes):
+        # a worker writes its own partition files and returns only the
+        # per-snapshot scalars of metrics.csv
+        seq, truth = generate(SynthConfig(communities=4, community_size=25, p_in=0.3,
+                                          p_out=0.01, churn=0.1, num_snapshots=3, rng_seed=2))
+        write_edge_list(seq, tmp_path / "edges.txt")
+        write_ground_truth(truth, seq, tmp_path / "truth.csv")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(tmp_path / "edges.txt"),
+                         "--truth", str(tmp_path / "truth.csv"), "--variant", "dgtp",
+                         "--repetitions", "2", "--jobs", "2", "--diagnostics",
+                         "--out", str(out)]) == 0
+        partition_bytes = min(path.stat().st_size for path in out.glob("communities_*.csv"))
+        assert len(pickled_sizes["returned"]) == 2
+        assert max(pickled_sizes["returned"]) < partition_bytes / 4
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_one(self, data_dir, tmp_path, capsys, pool_sizes, jobs):

@@ -19,6 +19,7 @@ from dgt.snapshot_graph import SnapshotGraph
 from dgt.synth import SynthConfig, generate
 
 from oracles import (
+    common_neighbors,
     gain_modularity_oracle,
     gain_similarity_oracle,
     random_digraph,
@@ -163,6 +164,24 @@ class TestSimilarityKernel:
             width = max(len(g.out_adj[v]) for v in g.nodes) + 1
             assert ctx._null_rows and ctx._null_rows.keys() <= in_degrees
             assert all(len(row) == width for row in ctx._null_rows.values())
+
+    def test_edge_values_are_shared_by_the_integers_that_fix_them(self):
+        # an edge's kernel value depends only on w and d_in[i] * d_out[j],
+        # so all rows hold one float per such pair, not one per edge.  A
+        # table entry costs about six edge floats, so on a sparse graph,
+        # where few edges have a pair of their own, the table must save
+        seq, _ = generate(SynthConfig(communities=8, community_size=100, p_in=0.05,
+                                      p_out=0.002, churn=0.1, num_snapshots=1, rng_seed=4))
+        g = seq.snapshots[0]
+        ctx = GainContext(g)
+        pairs, floats = set(), set()
+        for i in g.nodes:
+            row = ctx.kernel_row(i)
+            for j in g.out_adj[i]:
+                assert row[j].hex() == similarity_oracle(g, i, j).hex()
+                pairs.add((common_neighbors(g, i, j), len(g.in_adj[i]) * len(g.out_adj[j])))
+                floats.add(id(row[j]))
+        assert len(floats) <= len(pairs) < g.m / 6
 
 
 class TestGainSimilarity:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dgt
+from dgt import snapshot_graph
 from dgt.errors import FormatError, PreconditionError
 from dgt.snapshot_graph import (
     ChangeStats,
@@ -291,6 +292,24 @@ class TestEdgeFileParsing:
         seq = read_edge_list(path, snapshot_by="window:60")
         assert seq.ordinals == [0, 2]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_window_mode_refuses_a_pipe(self, tmp_path):
+        # the second pass would read nothing; the check opens nothing, so
+        # it cannot block on a pipe with no writer
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        with pytest.raises(FormatError, match="must be a regular file"):
+            read_edge_list(path, snapshot_by="window:60")
+
+    def test_window_mode_reports_a_file_changed_between_passes(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.txt"
+        path.write_text("a b 0\nb c 30\n", encoding="utf-8")
+        passes = iter([[(1, ["a", "b", "0"]), (2, ["b", "c", "30"])],
+                       [(1, ["a", "b", "0"]), (2, ["b", "c", "x"])]])
+        monkeypatch.setattr(snapshot_graph, "_edge_rows", lambda _: next(passes))
+        with pytest.raises(FormatError, match=r":2: bad timestamp 'x'"):
+            read_edge_list(path, snapshot_by="window:60")
+
     def test_bad_window_mode(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("a b 0\n", encoding="utf-8")
@@ -444,6 +463,33 @@ print(size, peak, tracemalloc.get_traced_memory()[1] - size)
         # measured 0.09x; with two frozensets of edge pairs per snapshot
         # pair, 1.60x
         assert transient <= 0.25 * size
+
+
+class TestWindowLoadMemory:
+    # Writes 2 000 nodes of 8 random out-edges over 3 snapshots (48 000
+    # lines) with a timestamp column, then loads the file in window mode
+    # in a fresh interpreter and prints the loaded size and the traced peak.
+    SCRIPT = """
+import random, sys, tracemalloc
+from dgt.snapshot_graph import read_edge_list
+rng = random.Random(7)
+n, degree = 2000, 8
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    for t in range(3):
+        for v in range(n):
+            for u in rng.sample(range(n), degree):
+                fh.write(f"n{v} n{u} {t * 100 + rng.random() * 50:.3f}\\n")
+tracemalloc.start()
+seq = read_edge_list(sys.argv[1], snapshot_by="window:100")
+assert seq.num_snapshots == 3
+print(*tracemalloc.get_traced_memory())
+"""
+
+    def test_loader_peak_stays_near_the_loaded_sequence(self, tmp_path):
+        size, peak = map(int, fresh_stdout(self.SCRIPT, str(tmp_path / "edges.txt")).split())
+        # measured 1.13x; holding every line to find the earliest
+        # timestamp first, 11x
+        assert peak <= 1.5 * size
 
 
 class TestWriteCsv:
