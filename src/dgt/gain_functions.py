@@ -14,10 +14,10 @@ an edge or a common neighbor leave the last branch, so a GainContext costs
 O(n+m) to build: it keeps the degree vectors and builds each agent's
 sparse kernel row on first use, keeping it for later turns.  A row is a
 plain dict holding only those pairs; `similarity()` and each member walk
-of `_MoveScorer` read any other pair's null-model value from a table kept
-per in-degree, `GainContext.null_row(d_in)[d_out]`, so kernel memory does
-not grow with the pairs the game scores: the tables hold at most (distinct
-in-degrees) x (max out-degree + 1) floats.
+of `_SimilarityScorer` read any other pair's null-model value from a table
+kept per in-degree, `GainContext.null_row(d_in)[d_out]`, so kernel memory
+does not grow with the pairs the game scores: the tables hold at most
+(distinct in-degrees) x (max out-degree + 1) floats.
 
 The similarity gain of an agent sums the kernel over the union of its
 co-members: each node sharing at least one community with the agent
@@ -34,11 +34,13 @@ gains are normalized by the snapshot edge count, as is the loss (one unit
 per held label), so utilities of different snapshots live on comparable
 scales.
 
-`_MoveScorer` is the only code that sums a gain: an agent's total gain
-and the deltas of its join, leave and switch moves.  `utility`, the one
-public scorer of a label set, `utility_delta` and the game engine all
-call it.  The move types live here because `utility_delta` dispatches on
-them.
+The two gains are two algorithms, so each has its own scorer class,
+`_SimilarityScorer` and `_ModularityScorer`: the only code that sums a
+gain, an agent's total gain and the deltas of its join, leave and switch
+moves.  `_SCORERS` maps each gain name to its scorer and is the one place
+a gain name selects code.  `utility`, the one public scorer of a label
+set, `utility_delta` and the game engine all build their scorer from it.
+The move types live here because `utility_delta` dispatches on them.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ from typing import ClassVar
 
 from .errors import EmptyGraphError, PreconditionError
 from .snapshot_graph import SnapshotGraph
-
-GAIN_KINDS = ("similarity", "modularity")
-
 
 # `kind` names each action in `SnapshotResult.actions_taken`
 @dataclass(frozen=True)
@@ -224,6 +223,15 @@ def _check_labels(labels, structure) -> None:
         raise PreconditionError(f"unknown community ids: {sorted(missing)}")
 
 
+def _check_members(graph: SnapshotGraph, structure, labels) -> None:
+    """Every member of the communities `labels` must be a node of `graph`:
+    a scorer indexes degrees and kernel rows by member id."""
+    communities, has_node = structure.communities, graph.has_node
+    strays = sorted({v for k in labels for v in communities[k] if not has_node(v)})
+    if strays:
+        raise PreconditionError(f"agents {strays} hold labels but are not in the snapshot")
+
+
 def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "similarity") -> UtilityBreakdown:
     """Gain-minus-loss breakdown for an agent holding `labels`, under
     either gain described above; the loss is one unit per held label,
@@ -231,120 +239,31 @@ def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "simila
     _check_gain(gain)
     _check_agent(ctx, agent)
     _check_labels(labels, structure)
-    g = _MoveScorer(ctx, agent, structure, gain, labels).total()
+    _check_members(ctx.graph, structure, labels)
+    g = _SCORERS[gain](ctx, agent, structure, labels).total()
     return UtilityBreakdown(gain=g, loss=len(labels) / ctx.m)
 
 
-class _MoveScorer:
+class _Scorer:
     """One agent's gain against the current structure: its total and the
-    utility changes of its join, leave and switch moves.  The only code
-    that sums a gain.
+    utility changes of its join, leave and switch moves.  A subclass per
+    gain sums it: `raw_total`, `_raw_gain` and `switch`; `_SCORERS` picks
+    the subclass by gain name.
 
     `held` defaults to the agent's own labels.  Built once per agent turn,
-    so the coverage counts and the loss terms are computed once; each
-    community's raw gain is memoized, so a switch reuses the values its
-    two legs already computed.
-
-    Invariant: the agent is never a key of `cnt`, so the member walks of
-    a held community need no `j != agent` test, and a join target (a
-    community the agent is not in) is walked with `j not in cnt` alone.
-
-    Each similarity walk reads kernel values with
-    `row.get(j, null[d_out[j]])`: a pair the sparse row does not hold
-    takes its null-model value from the context's table for the agent's
-    in-degree (`GainContext.null_row`).
+    so the loss terms (and a subclass's own per-agent state) are computed
+    once; each community's raw gain is memoized, so a switch reuses the
+    values its two legs already computed.  Each subclass sets every slot in
+    its own `__init__` rather than calling a base one, so building a scorer
+    costs one call per turn.
     """
 
-    __slots__ = ("ctx", "agent", "structure", "held", "similarity", "norm",
-                 "join_loss", "leave_loss", "cnt", "row", "null", "raw")
-
-    def __init__(self, ctx: GainContext, agent: int, structure, gain: str, held=None):
-        self.ctx = ctx
-        self.agent = agent
-        self.structure = structure
-        if held is None:
-            held = structure.memberships.get(agent, frozenset())
-        self.held = held
-        n_labels = len(held)
-        m = ctx.m
-        self.join_loss = (n_labels + 1) / m - n_labels / m
-        self.leave_loss = (n_labels - 1) / m - n_labels / m
-        self.similarity = gain == "similarity"
-        if self.similarity:
-            self.norm = m
-            # cnt[j]: how many held communities contain co-member j, keyed
-            # in first-seen order over ascending labels and members
-            labels = sorted(held)
-            communities = structure.communities
-            self.cnt = cnt = dict.fromkeys(communities[labels[0]], 1) if labels else {}
-            for k in labels[1:]:
-                for j in communities[k]:
-                    cnt[j] = cnt.get(j, 0) + 1
-            cnt.pop(agent, None)
-            self.row = ctx.kernel_row(agent)
-            self.null = ctx.null_row(ctx.d_in[agent])
-        else:
-            self.norm = ctx.twom
-        self.raw: dict[int, float] = {}
-
-    def raw_total(self) -> float:
-        """The gain over the held labels before normalization.  Similarity:
-        the kernel summed once over each co-member, in `cnt` order.
-        Modularity: each held community's raw gain, in ascending label
-        order."""
-        # not sum(): its float rounding changed in Python 3.12
-        total = 0.0
-        if self.similarity:
-            get, null, d_out = self.row.get, self.null, self.ctx.d_out
-            for j in self.cnt:
-                total += get(j, null[d_out[j]])
-        else:
-            for k in sorted(self.held):
-                total += self._raw_gain(k)
-        return total
+    __slots__ = ("ctx", "agent", "structure", "held", "norm",
+                 "join_loss", "leave_loss", "raw")
 
     def total(self) -> float:
         """The gain over the held labels, normalized."""
         return self.raw_total() / self.norm
-
-    def _raw_gain(self, k: int) -> float:
-        """Similarity: kernel sum over the members a join of k would add
-        (covered by no held community) or a leave of k would drop (covered
-        by k alone).  Modularity: each co-member j of k adds
-        A[agent][j]*|labels(j)| minus the degree null model share."""
-        raw = self.raw.get(k)
-        if raw is None:
-            raw = 0.0
-            if self.similarity:
-                cnt = self.cnt
-                get, null, d_out = self.row.get, self.null, self.ctx.d_out
-                if k not in self.held:
-                    for j in self.structure.communities[k]:
-                        if j not in cnt:
-                            raw += get(j, null[d_out[j]])
-                elif len(self.held) == 1:
-                    # cnt is k's members less the agent, in member order
-                    for j in cnt:
-                        raw += get(j, null[d_out[j]])
-                else:
-                    for j in self.structure.communities[k]:
-                        if cnt.get(j) == 1:
-                            raw += get(j, null[d_out[j]])
-            else:
-                agent, ctx = self.agent, self.ctx
-                out = ctx.graph.out_adj[agent]
-                memberships = self.structure.memberships
-                d_in_agent, d_out, twom = ctx.d_in[agent], ctx.d_out, ctx.twom
-                for j in self.structure.communities[k]:
-                    if j == agent:
-                        continue
-                    null = (d_in_agent * d_out[j]) / twom
-                    if j in out:
-                        raw += len(memberships[j]) - null
-                    else:
-                        raw -= null
-            self.raw[k] = raw
-        return raw
 
     def join(self, k: int) -> float:
         return self._raw_gain(k) / self.norm - self.join_loss
@@ -352,9 +271,80 @@ class _MoveScorer:
     def leave(self, k: int) -> float:
         return -(self._raw_gain(k) / self.norm) - self.leave_loss
 
+
+class _SimilarityScorer(_Scorer):
+    """The similarity gain: the kernel summed once over the union of the
+    agent's co-members, normalized by m.
+
+    Invariant: the agent is never a key of `cnt`, so the member walks of
+    a held community need no `j != agent` test, and a join target (a
+    community the agent is not in) is walked with `j not in cnt` alone.
+
+    Each walk reads kernel values with `row.get(j, null[d_out[j]])`: a
+    pair the sparse row does not hold takes its null-model value from the
+    context's table for the agent's in-degree (`GainContext.null_row`).
+    """
+
+    __slots__ = ("cnt", "row", "null")
+
+    def __init__(self, ctx: GainContext, agent: int, structure, held=None):
+        self.ctx = ctx
+        self.agent = agent
+        self.structure = structure
+        if held is None:
+            held = structure.memberships.get(agent, frozenset())
+        self.held = held
+        n_labels = len(held)
+        self.norm = m = ctx.m
+        self.join_loss = (n_labels + 1) / m - n_labels / m
+        self.leave_loss = (n_labels - 1) / m - n_labels / m
+        # cnt[j]: how many held communities contain co-member j, keyed in
+        # first-seen order over ascending labels and members
+        labels = sorted(held)
+        communities = structure.communities
+        self.cnt = cnt = dict.fromkeys(communities[labels[0]], 1) if labels else {}
+        for k in labels[1:]:
+            for j in communities[k]:
+                cnt[j] = cnt.get(j, 0) + 1
+        cnt.pop(agent, None)
+        self.row = ctx.kernel_row(agent)
+        self.null = ctx.null_row(ctx.d_in[agent])
+        self.raw: dict[int, float] = {}
+
+    def raw_total(self) -> float:
+        """The gain over the held labels before normalization: the kernel
+        summed once over each co-member, in `cnt` order."""
+        # not sum(): its float rounding changed in Python 3.12
+        total = 0.0
+        get, null, d_out = self.row.get, self.null, self.ctx.d_out
+        for j in self.cnt:
+            total += get(j, null[d_out[j]])
+        return total
+
+    def _raw_gain(self, k: int) -> float:
+        """Kernel sum over the members a join of k would add (covered by no
+        held community) or a leave of k would drop (covered by k alone)."""
+        raw = self.raw.get(k)
+        if raw is None:
+            raw = 0.0
+            cnt = self.cnt
+            get, null, d_out = self.row.get, self.null, self.ctx.d_out
+            if k not in self.held:
+                for j in self.structure.communities[k]:
+                    if j not in cnt:
+                        raw += get(j, null[d_out[j]])
+            elif len(self.held) == 1:
+                # cnt is k's members less the agent, in member order
+                for j in cnt:
+                    raw += get(j, null[d_out[j]])
+            else:
+                for j in self.structure.communities[k]:
+                    if cnt.get(j) == 1:
+                        raw += get(j, null[d_out[j]])
+            self.raw[k] = raw
+        return raw
+
     def switch(self, k_out: int, k_in: int) -> float:
-        if not self.similarity:
-            return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
         # k_in's members count as gained when no held community other
         # than k_out covers them
         cnt = self.cnt
@@ -373,13 +363,85 @@ class _MoveScorer:
         return (gained - lost) / self.norm
 
 
+class _ModularityScorer(_Scorer):
+    """The modularity gain: each co-member counted once per shared
+    community, normalized by 2m.
+
+    A community's raw gain depends on its members' label counts, never on
+    which labels the agent holds, and the loss terms cancel across a
+    switch's two legs (the agent's label count does not change).  So a
+    switch is exactly its leave's raw gain taken from its join's, and in
+    exact arithmetic the best switch pairs the best leave with the best
+    join: the one pair the engine scores is a full best response.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ctx: GainContext, agent: int, structure, held=None):
+        self.ctx = ctx
+        self.agent = agent
+        self.structure = structure
+        if held is None:
+            held = structure.memberships.get(agent, frozenset())
+        self.held = held
+        n_labels = len(held)
+        m = ctx.m
+        self.norm = ctx.twom
+        self.join_loss = (n_labels + 1) / m - n_labels / m
+        self.leave_loss = (n_labels - 1) / m - n_labels / m
+        self.raw: dict[int, float] = {}
+
+    def raw_total(self) -> float:
+        """The gain over the held labels before normalization: each held
+        community's raw gain, in ascending label order."""
+        # not sum(): its float rounding changed in Python 3.12
+        total = 0.0
+        for k in sorted(self.held):
+            total += self._raw_gain(k)
+        return total
+
+    def _raw_gain(self, k: int) -> float:
+        """Each co-member j of k adds A[agent][j]*|labels(j)| minus the
+        degree null model share."""
+        raw = self.raw.get(k)
+        if raw is None:
+            raw = 0.0
+            agent, ctx = self.agent, self.ctx
+            out = ctx.graph.out_adj[agent]
+            memberships = self.structure.memberships
+            d_in_agent, d_out, twom = ctx.d_in[agent], ctx.d_out, ctx.twom
+            for j in self.structure.communities[k]:
+                if j == agent:
+                    continue
+                null = (d_in_agent * d_out[j]) / twom
+                if j in out:
+                    raw += len(memberships[j]) - null
+                else:
+                    raw -= null
+            self.raw[k] = raw
+        return raw
+
+    def switch(self, k_out: int, k_in: int) -> float:
+        return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
+
+
+# the one place a gain name selects code
+_SCORERS: dict[str, type[_Scorer]] = {
+    "similarity": _SimilarityScorer,
+    "modularity": _ModularityScorer,
+}
+GAIN_KINDS = tuple(_SCORERS)
+
+
 def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "similarity") -> float:
     """Utility change for `agent` if `action` were applied now.
 
-    Computed incrementally from the affected communities only; agrees with
-    the difference of two full utility evaluations to 1e-12.  For the
-    similarity gain only genuinely new (or exclusively held) co-members
-    move the gain, mirroring its union-of-co-members definition.
+    Computed incrementally from the agent's held communities and the
+    action's; agrees with the difference of two full utility evaluations
+    to 1e-12.  For the similarity gain only genuinely new (or exclusively
+    held) co-members move the gain, mirroring its union-of-co-members
+    definition.  Every member of those communities must be a node of the
+    snapshot.
     """
     _check_gain(gain)
     _check_agent(ctx, agent)
@@ -391,12 +453,14 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
         if k in held:
             raise PreconditionError(f"agent {agent} already holds community {k}")
         _check_labels((k,), structure)
-        return _MoveScorer(ctx, agent, structure, gain).join(k)
+        _check_members(ctx.graph, structure, {*held, k})
+        return _SCORERS[gain](ctx, agent, structure).join(k)
     if isinstance(action, Leave):
         k = action.community
         if k not in held:
             raise PreconditionError(f"agent {agent} does not hold community {k}")
-        return _MoveScorer(ctx, agent, structure, gain).leave(k)
+        _check_members(ctx.graph, structure, held)
+        return _SCORERS[gain](ctx, agent, structure).leave(k)
     if isinstance(action, Switch):
         k_out, k_in = action.out_community, action.in_community
         if k_out == k_in:
@@ -406,5 +470,6 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
         if k_in in held:
             raise PreconditionError(f"agent {agent} already holds community {k_in}")
         _check_labels((k_in,), structure)
-        return _MoveScorer(ctx, agent, structure, gain).switch(k_out, k_in)
+        _check_members(ctx.graph, structure, {*held, k_in})
+        return _SCORERS[gain](ctx, agent, structure).switch(k_out, k_in)
     raise PreconditionError(f"unknown action {action!r}")

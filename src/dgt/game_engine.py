@@ -27,7 +27,8 @@ from .gain_functions import (
     NoOp,
     Switch,
     _check_agent,
-    _MoveScorer,
+    _check_members,
+    _SCORERS,
 )
 from .rng import PCG64
 from .snapshot_graph import SnapshotGraph
@@ -250,7 +251,7 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
 
     The scans are loops, not max(key=...): under CPython 3.11 a key called
     from C made the carryover-n400 bench game 4-10% slower (2-CPU VM)."""
-    score = _MoveScorer(ctx, agent, structure, config.gain)
+    score = _SCORERS[config.gain](ctx, agent, structure)
     held = score.held
     join_ids = _candidate_communities(ctx, agent, structure, held)
     # a strict `>` keeps the first, so the lowest id, of equal deltas
@@ -283,8 +284,12 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
 def best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
                   config: GameConfig) -> Action:
     """The agent's best action against the current structure, or NoOp when
-    nothing strictly improves its utility."""
+    nothing strictly improves its utility.  Every member of the communities
+    it scores, its own and its neighbours', must be a node of the snapshot."""
     _check_agent(ctx, agent)
+    held = structure.memberships.get(agent, frozenset())
+    _check_members(ctx.graph, structure,
+                   {*held, *_candidate_communities(ctx, agent, structure, held)})
     return _best_response(ctx, agent, structure, config)[0]
 
 
@@ -294,8 +299,9 @@ def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) 
     total_gain = 0.0
     total_loss = 0.0
     m = ctx.m
+    scorer = _SCORERS[gain]
     for agent in agents:
-        score = _MoveScorer(ctx, agent, structure, gain)
+        score = scorer(ctx, agent, structure)
         total_gain += score.total()
         total_loss += len(score.held) / m
     return total_gain - total_loss
@@ -303,7 +309,10 @@ def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) 
 
 def is_local_equilibrium(ctx: GainContext, structure: CommunityStructure,
                          config: GameConfig) -> bool:
-    """True iff no agent has any strictly improving action left."""
+    """True iff no agent has any strictly improving action left.  Every
+    member of a community some node holds must be a node of the snapshot."""
+    get = structure.memberships.get
+    _check_members(ctx.graph, structure, set().union(*map(get, ctx.graph.nodes, repeat(()))))
     for agent in ctx.graph.nodes:
         if not isinstance(_best_response(ctx, agent, structure, config)[0], NoOp):
             return False
@@ -315,6 +324,7 @@ def _hard_assignment(ctx: GainContext, structure: CommunityStructure, gain: str)
     taken alone, the lowest id among ties; agents holding no labels get a
     fresh singleton id."""
     partition: dict[int, int] = {}
+    scorer = _SCORERS[gain]
     for agent in ctx.graph.nodes:
         held = structure.memberships.get(agent, ())
         if not held:
@@ -323,8 +333,8 @@ def _hard_assignment(ctx: GainContext, structure: CommunityStructure, gain: str)
             (partition[agent],) = held
         else:
             # max() keeps the first of equal keys, so the lowest id
-            partition[agent] = max(sorted(held), key=lambda k: _MoveScorer(
-                ctx, agent, structure, gain, (k,)).raw_total())
+            partition[agent] = max(sorted(held), key=lambda k: scorer(
+                ctx, agent, structure, (k,)).raw_total())
     return partition
 
 
@@ -348,9 +358,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
     problems = initial.audit()
     if problems:
         raise AuditError("; ".join(problems))
-    strays = sorted(v for v, ks in initial.memberships.items() if ks and not graph.has_node(v))
-    if strays:
-        raise PreconditionError(f"agents {strays} hold labels but are not in the snapshot")
+    _check_members(graph, initial, initial.communities)
     if ctx is None:
         ctx = GainContext(graph)
     elif ctx.graph is not graph:

@@ -67,6 +67,8 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
     """
     truth = GroundTruth()
     snapshot_of = {t: k for k, t in enumerate(seq.ordinals)}
+    # one str per distinct community label, not one per row
+    labels: dict[str, str] = {}
     skipped = 0
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -103,7 +105,7 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                 if node is None:
                     skipped += 1
                     continue
-                truth.by_snapshot.setdefault(k, {})[node] = row[2]
+                truth.by_snapshot.setdefault(k, {})[node] = labels.setdefault(row[2], row[2])
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
     except csv.Error as exc:

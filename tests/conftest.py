@@ -12,6 +12,17 @@ def clique_edges(nodes):
     return [(i, j) for i in nodes for j in nodes if i != j]
 
 
+@pytest.fixture(params=[([(0, 1), (1, 2), (2, 0)], [0, 1, 99]),
+                        ([(0, 1), (1, 2), (2, 0), (5, 0)], [0, 1, 3])],
+                ids=["above-every-node-id", "below-a-node-id"])
+def stray_members(request) -> tuple[SnapshotGraph, list[int]]:
+    """A graph and the members of a community holding agent 0 and one id
+    that is not a node: above every node id, or below one, which the
+    degree tables have a slot for."""
+    edges, members = request.param
+    return SnapshotGraph.from_edges(edges), members
+
+
 @pytest.fixture(scope="session")
 def two_cliques() -> SnapshotGraph:
     """Two disconnected 10-node bidirected cliques; planted partition is

@@ -118,10 +118,11 @@ class SimilarityWalksOracle:
     each null-model value inline, -(d_in[agent] * d_out[j]) / (4m), for a
     pair the sparse kernel row lacks, and walk k_in for every switch.
 
-    Kept as the exact reference for `_MoveScorer`, which reads null values
-    from a per-in-degree table and takes shortcuts for a disjoint switch and
-    a one-label leave: both must add the same floats in the same order, so
-    the results must be equal bit for bit.  Reads the context's sparse
+    Kept as the exact reference for `_SimilarityScorer`, the similarity
+    gain's scorer, which reads null values from a per-in-degree table and
+    takes shortcuts for a disjoint switch and a one-label leave: both must
+    add the same floats in the same order, so the results must be equal bit
+    for bit.  Reads the context's sparse
     kernel rows and degrees, which are checked against `similarity_oracle`
     on their own.
     """

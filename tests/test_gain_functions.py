@@ -381,8 +381,29 @@ class TestUtility:
         with pytest.raises(PreconditionError, match="agent 99 is not in the snapshot"):
             utility_delta(ctx, 99, Join(ids[0]), st, gain)
 
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    def test_member_outside_the_snapshot(self, gain, stray_members):
+        g, members = stray_members
+        st, (k, other) = structure_over(g, members, [2])
+        ctx = GainContext(g)
+        with pytest.raises(PreconditionError,
+                           match=rf"agents \[{members[-1]}\] hold labels but are not in the snapshot"):
+            utility(ctx, 0, {k}, st, gain)
+        # only the communities scored are checked
+        assert utility(ctx, 0, {other}, st, gain).loss == 1 / g.m
+
 
 class TestUtilityDelta:
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    @pytest.mark.parametrize("move", ["join", "leave", "switch"])
+    def test_member_outside_the_snapshot(self, gain, move, stray_members):
+        g, members = stray_members
+        st, (k, other) = structure_over(g, members, [2])
+        action = {"join": Join(other), "leave": Leave(k), "switch": Switch(k, other)}[move]
+        with pytest.raises(PreconditionError,
+                           match=rf"agents \[{members[-1]}\] hold labels but are not in the snapshot"):
+            utility_delta(GainContext(g), 0, action, st, gain)
+
     def test_noop_zero(self):
         g = SnapshotGraph.from_edges([(0, 1)])
         st, _ = structure_over(g, [0], [1])

@@ -126,6 +126,17 @@ class TestGameConfig:
 
 
 class TestBestResponse:
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    def test_member_outside_the_snapshot(self, gain, stray_members):
+        g, members = stray_members
+        st = CommunityStructure.from_singletons([2])
+        st.create_community(members)
+        ctx = GainContext(g)
+        # agent 0 holds the community, agent 2 has it as a join candidate
+        for agent in (0, 2):
+            with pytest.raises(PreconditionError, match=rf"agents \[{members[-1]}\] hold labels"):
+                best_response(ctx, agent, st, GameConfig(gain=gain))
+
     def test_isolated_agent_leaves_singleton(self):
         # losing the label refunds 1/m while no gain is at stake
         g = SnapshotGraph.from_edges([(0, 1)], nodes=[0, 1, 2])
@@ -375,6 +386,19 @@ class TestRunSnapshot:
 
 
 class TestEquilibrium:
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    def test_member_outside_the_snapshot(self, gain, stray_members):
+        g, members = stray_members
+        st = CommunityStructure.from_singletons(g.nodes)
+        st.create_community(members)
+        with pytest.raises(PreconditionError, match=rf"agents \[{members[-1]}\] hold labels"):
+            is_local_equilibrium(GainContext(g), st, GameConfig(gain=gain))
+
+    def test_a_community_no_node_holds_is_not_read(self, two_cliques):
+        st = CommunityStructure.from_singletons(two_cliques.nodes)
+        st.create_community([99])
+        assert not is_local_equilibrium(GainContext(two_cliques), st, GameConfig())
+
     def test_converged_run_is_local_equilibrium(self, two_cliques):
         ctx = GainContext(two_cliques)
         init = CommunityStructure.from_singletons(two_cliques.nodes)

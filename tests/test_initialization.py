@@ -240,6 +240,18 @@ class TestGroundTruthIO:
         truth = load_ground_truth(path, seq)
         assert truth.by_snapshot == {0: {0: "x"}}
 
+    def test_rows_share_one_string_per_label(self, tmp_path):
+        seq = load_edge_stream([("a", "b", 0), ("b", "c", 1)])
+        path = tmp_path / "truth.csv"
+        path.write_text("snapshot,node_label,community_label\n"
+                        "0,a,comm7\n0,b,comm7\n1,c,comm7\n1,b,comm8\n", encoding="utf-8")
+        truth = load_ground_truth(path, seq)
+        ids = seq.label_to_id
+        a, b, c = truth.by_snapshot[0][ids["a"]], truth.by_snapshot[0][ids["b"]], \
+            truth.by_snapshot[1][ids["c"]]
+        assert a == "comm7" and a is b and a is c
+        assert truth.by_snapshot[1][ids["b"]] == "comm8"
+
     def test_byte_order_mark_before_the_header(self, tmp_path):
         seq = load_edge_stream([("a", "b", 0)])
         path = tmp_path / "truth.csv"

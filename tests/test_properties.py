@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dgt import cli
 from dgt.errors import FormatError
-from dgt.gain_functions import GainContext, _MoveScorer, similarity, utility_delta
+from dgt.gain_functions import GainContext, _SimilarityScorer, similarity, utility_delta
 from dgt.game_engine import (
     CommunityStructure,
     GameConfig,
@@ -20,6 +20,7 @@ from dgt.game_engine import (
     NoOp,
     Switch,
     _best_response,
+    _candidate_communities,
     _hard_assignment,
     _totals,
     run_snapshot,
@@ -129,7 +130,7 @@ def assert_moves_equal_loop_walks(ctx, agent, structure) -> set[tuple[str, str]]
     ref = SimilarityWalksOracle(ctx, agent, structure)
     held = sorted(ref.held)
     open_ids = sorted(set(structure.communities) - set(held))
-    score = _MoveScorer(ctx, agent, structure, "similarity")
+    score = _SimilarityScorer(ctx, agent, structure)
     assert repr(score.raw_total()) == repr(ref.raw_total())
     for k in open_ids:
         assert repr(score.join(k)) == repr(ref.join(k))
@@ -145,7 +146,7 @@ def assert_moves_equal_loop_walks(ctx, agent, structure) -> set[tuple[str, str]]
             expected = repr(ref.switch(k_out, k_in))
             # once after both legs were walked, once on a fresh scorer
             assert repr(score.switch(k_out, k_in)) == expected
-            fresh = _MoveScorer(ctx, agent, structure, "similarity")
+            fresh = _SimilarityScorer(ctx, agent, structure)
             assert repr(fresh.switch(k_out, k_in)) == expected
     return cases
 
@@ -233,6 +234,58 @@ def test_symmetric_moves_change_the_potential_by_the_movers_delta(data):
         after.apply(agent, action)
         change = potential_oracle(g, after.communities, after.memberships) - before
         assert change == pytest.approx(utility_delta(ctx, agent, action, structure), abs=1e-12)
+
+
+def co_members(structure, agent) -> set[int]:
+    return {j for k in structure.memberships[agent] for j in structure.communities[k]} - {agent}
+
+
+@PROPERTY_SETTINGS
+@given(graph_and_structure())
+def test_directed_moves_change_the_potential_by_the_delta_and_the_kernel_skew(case):
+    # Phi* counts the kernel of each co-member pair both ways, the mover's
+    # utility only its own way, so a move changes Phi* by the mover's delta
+    # plus (1/2m) * (s(j,i) - s(i,j)) summed over the co-members j gained,
+    # less the same sum over those lost
+    g, structure = case
+    ctx = GainContext(g)
+    before = potential_oracle(g, structure.communities, structure.memberships)
+    for agent in g.nodes:
+        held = sorted(structure.memberships[agent])
+        open_ids = sorted(set(structure.communities) - set(held))
+        actions = [Join(k) for k in open_ids] + [Leave(k) for k in held]
+        actions += [Switch(out, k) for out in held for k in open_ids]
+        old = co_members(structure, agent)
+
+        def skew(js):
+            return sum(similarity_oracle(g, j, agent) - similarity_oracle(g, agent, j)
+                       for j in sorted(js))
+
+        for action in actions:
+            after = structure.copy()
+            after.apply(agent, action)
+            new = co_members(after, agent)
+            residual = (skew(new - old) - skew(old - new)) / (2 * g.m)
+            change = potential_oracle(g, after.communities, after.memberships) - before
+            assert change - utility_delta(ctx, agent, action, structure) == pytest.approx(
+                residual, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(graph_and_structure())
+def test_one_switch_pair_is_a_full_best_response_for_modularity(case):
+    # the modularity switch is exactly its two legs, so the best leave
+    # paired with the best join is the best of every (held, candidate) pair
+    g, structure = case
+    ctx = GainContext(g)
+    config = GameConfig(gain="modularity")
+    for agent in g.nodes:
+        held = structure.memberships[agent]
+        _, best, _ = _best_response(ctx, agent, structure, config)
+        for k_out in sorted(held):
+            for k_in in _candidate_communities(ctx, agent, structure, held):
+                switch = utility_delta(ctx, agent, Switch(k_out, k_in), structure, "modularity")
+                assert switch <= best
 
 
 @pytest.mark.parametrize("gain", ["similarity", "modularity"])
