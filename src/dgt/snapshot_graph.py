@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import os
-from collections import defaultdict, deque
-from collections.abc import Iterator
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import FormatError, PreconditionError
@@ -155,37 +156,124 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     `index_t` always form the contiguous range 0..M-1, and `ordinals[k]`
     keeps the input ordinal of snapshot k.
 
+    An ordinal is an integer: a `str` is read with `int()`, any other value
+    must pass `operator.index()` (an int, a bool or a numpy integer; not a
+    float, even an integral one).
+
     `extra_nodes` is an optional iterable of (label, ordinal) declaring
     nodes that belong to a snapshot even without incident edges.  With
     `undirected=True` every record is materialized as two directed edges.
 
-    Raises FormatError on empty input, negative ordinals, or a snapshot (by
-    its input ordinal) with no edges at all.  A negative ordinal is reported
-    only once the whole stream has been read, so an error the stream itself
-    raises (a parse error) comes first.
+    Raises FormatError on empty input, an ordinal that is not an integer
+    (naming the record's position, counted from 1), a negative ordinal, or
+    a snapshot (by its input ordinal) with no edges at all.  These are
+    reported only once the whole stream has been read, in that order, so
+    an error the stream itself raises (a parse error) comes first.
     """
+    return _load(enumerate(records, 1), None, None, _ordinal, extra_nodes, undirected)
+
+
+def _ordinal(t) -> int:
+    """The snapshot ordinal of a record or an edge-list line; ValueError if
+    it is not an integer."""
+    try:
+        return int(t) if isinstance(t, str) else operator.index(t)
+    except (TypeError, ValueError):
+        raise ValueError(f"bad snapshot ordinal {t!r}") from None
+
+
+# stands for "no previous line": equal to nothing a line holds
+_UNSET = object()
+
+
+def _load(rows, path, field: int | None, ordinal, extra_nodes,
+          undirected: bool) -> SnapshotSequence:
+    """The one loader loop behind `read_edge_list` and `load_edge_stream`.
+
+    `rows` yields (position, row).  With a `path`, a row is a line of that
+    file: it is split on whitespace, blank and `#` lines are skipped, a
+    line of fewer than 3 fields raises at once, and the ordinal is field
+    `field`.  Without one, a row is a (source, target, ordinal) record.
+    `ordinal` turns the ordinal into a snapshot number or raises
+    ValueError; the first such error, and then the first negative
+    ordinal, are raised once every row has been read.
+
+    Consecutive rows mostly share their ordinal and often their source,
+    so the loop keeps the previous row's: `ordinal` runs only when the
+    ordinal differs from the previous row's, and a repeated source reuses
+    its id and target list.  Both reset when the snapshot changes.
+    """
+    text = path is not None
+    where = f"{path}:" if text else "record "
     label_to_id: dict = {}
+    get = label_to_id.get
     # per input ordinal: source id -> its target ids, repeats included
-    buckets: defaultdict[int, defaultdict[int, list[int]]] = defaultdict(
-        lambda: defaultdict(list))
-    kept = 0
-    self_dropped = 0
-    records = iter(records)
-    for src, dst, t in records:
-        t = int(t)
-        if t < 0:
-            deque(records, maxlen=0)  # a parse error later in the stream comes first
-            raise FormatError(f"negative snapshot ordinal {t}")
-        i = label_to_id.setdefault(src, len(label_to_id))
-        j = label_to_id.setdefault(dst, len(label_to_id))
-        bucket = buckets[t]
+    buckets: dict[int, dict[int, list[int]]] = {}
+    prev_raw = prev_src = prev_t = _UNSET
+    out = None  # the target list of source i in the current bucket, once it has one
+    self_dropped = wide = 0
+    bad = negative = None
+    for lineno, row in rows:
+        if text:
+            parts = row.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) == 3:
+                src, dst, raw = parts
+            else:
+                if len(parts) < 3:
+                    raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
+                wide += len(parts) > 4
+                src, dst, raw = parts[0], parts[1], parts[field]
+        else:
+            src, dst, raw = row
+            if type(raw) is not type(prev_raw):  # 2.0 == 2, but only one is an ordinal
+                prev_raw = _UNSET
+        if raw != prev_raw:
+            try:
+                t = ordinal(raw)
+            except ValueError as exc:
+                if bad is None:
+                    bad = f"{where}{lineno}: {exc}"
+                continue
+            if t < 0:
+                if negative is None:
+                    negative = f"negative snapshot ordinal {t}"
+                continue
+            prev_raw = raw
+            if t != prev_t:
+                prev_t = t
+                bucket = buckets.get(t)
+                if bucket is None:
+                    bucket = buckets[t] = {}
+                prev_src = _UNSET
+        if src != prev_src:
+            prev_src = src
+            i = get(src)
+            if i is None:
+                i = label_to_id[src] = len(label_to_id)
+            out = None
+        j = get(dst)
+        if j is None:
+            j = label_to_id[dst] = len(label_to_id)
         if i == j:
             self_dropped += 1
             continue
-        kept += 1
-        bucket[i].append(j)
+        if out is None:
+            out = bucket.get(i)
+            if out is None:
+                out = bucket[i] = []
+        out.append(j)
         if undirected:
-            bucket[j].append(i)
+            back = bucket.get(j)
+            if back is None:
+                bucket[j] = [i]
+            else:
+                back.append(i)
+    if bad is not None:
+        raise FormatError(bad)
+    if negative is not None:
+        raise FormatError(negative)
     if not buckets:
         raise FormatError("no edges")
 
@@ -196,6 +284,8 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
             raise FormatError(f"negative snapshot ordinal {t} in node list")
         declared.setdefault(t, set()).add(label_to_id.setdefault(label, len(label_to_id)))
 
+    # every kept row appended 1 (2 if undirected) targets; the snapshots keep the rest
+    appended = sum(len(js) for targets in buckets.values() for js in targets.values())
     dense = {t: k for k, t in enumerate(sorted(buckets.keys() | declared.keys()))}
     snapshots = []
     edgeless = []
@@ -206,8 +296,9 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
             continue
         snapshots.append(SnapshotGraph._from_targets(targets, k, declared.get(raw, ())))
 
-    # each record added 1 (2 if undirected) edges; the snapshots kept the rest
-    duplicates = (2 if undirected else 1) * kept - sum(g.m for g in snapshots)
+    duplicates = appended - sum(g.m for g in snapshots)
+    if wide:
+        logger.warning("ignored the extra fields of %d line(s) with more than 4", wide)
     if self_dropped:
         logger.warning("dropped %d self-edge(s) from input", self_dropped)
     if duplicates:
@@ -249,31 +340,25 @@ def diff(prev: SnapshotGraph, next: SnapshotGraph) -> ChangeStats:
     return ChangeStats(added, deleted, len(touched))
 
 
-def _text_lines(path) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a UTF-8 text file, a leading BOM dropped; FormatError if not UTF-8."""
+@contextmanager
+def _text_file(path):
+    """The open UTF-8 text file, a leading BOM dropped; FormatError if a
+    line read from it is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            yield from enumerate(fh, start=1)
+            yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
 
 
-def _edge_rows(path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of every record line of an edge-list file."""
-    for lineno, line in _text_lines(path):
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) < 3:
-            raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
-        yield lineno, parts
-
-
-def _edge_records(path, snapshot_by: str):
-    """A generator of the loader records of an edge-list file.  The mode
-    is checked before the file is opened."""
+def _snapshot_field(path, snapshot_by: str):
+    """(field, ordinal) of `_load` for an edge-list file: the index of the
+    field that names a line's snapshot, and the function that turns it
+    into a snapshot number.  The mode is checked before the file is
+    opened; window mode then reads the file once to find the earliest
+    timestamp."""
     if snapshot_by == "column":
-        return _column_records(path)
+        return 2, _ordinal
     if not snapshot_by.startswith("window:"):
         raise FormatError(f"unknown snapshot-by mode {snapshot_by!r}")
     try:
@@ -286,73 +371,66 @@ def _edge_records(path, snapshot_by: str):
         # a pipe or a terminal would be empty on the second read
         raise FormatError(f"{path}: window mode reads its input twice, so it must be "
                           "a regular file")
-    return _window_records(path, window)
+    t0 = _earliest_timestamp(path)
 
-
-def _column_records(path) -> Iterator[tuple[str, str, int]]:
-    """Records read line by line.  A short line is reported where it is
-    found; a bad snapshot ordinal only after the last line, so that a short
-    line anywhere in the file comes first."""
-    bad_ordinal = None
-    for lineno, parts in _edge_rows(path):
+    def window_of(stamp: str) -> int:
         try:
-            t = int(parts[2])
-        except ValueError:
-            if bad_ordinal is None:
-                bad_ordinal = f"{path}:{lineno}: bad snapshot ordinal {parts[2]!r}"
-            continue
-        yield parts[0], parts[1], t
-    if bad_ordinal is not None:
-        raise FormatError(bad_ordinal)
+            ts = float(stamp)
+        except ValueError:  # the file changed between the passes
+            raise ValueError(f"bad timestamp {stamp!r}") from None
+        bucket = (ts - t0) // window
+        if not math.isfinite(bucket):
+            raise ValueError(f"timestamp {stamp!r} is too far from the earliest "
+                             f"for window width {window!r}")
+        return int(bucket)
+
+    return -1, window_of
 
 
-def _window_records(path, window: float) -> Iterator[tuple[str, str, int]]:
-    """Records with the last column bucketed into windows from the earliest
-    timestamp.  The file is read twice: the first pass checks every line
-    and finds that timestamp, holding nothing else; the second streams the
-    records.  A short line anywhere in the file is reported before any bad
-    timestamp, and both before a timestamp too far from the earliest."""
+def _earliest_timestamp(path) -> float:
+    """The earliest last-field timestamp of an edge-list file, holding
+    nothing else.  A short line anywhere in the file is reported before any
+    bad timestamp."""
     t0 = math.inf
     bad_stamp = None
-    for lineno, parts in _edge_rows(path):
-        try:
-            ts = float(parts[-1])
-        except ValueError:
-            ts = None
-        if ts is None or not math.isfinite(ts):
-            if bad_stamp is None:
-                kind = "bad" if ts is None else "non-finite"
-                bad_stamp = f"{path}:{lineno}: {kind} timestamp {parts[-1]!r}"
-            continue
-        t0 = min(t0, ts)
+    with _text_file(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) < 3:
+                raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
+            try:
+                ts = float(parts[-1])
+            except ValueError:
+                ts = None
+            if ts is None or not math.isfinite(ts):
+                if bad_stamp is None:
+                    kind = "bad" if ts is None else "non-finite"
+                    bad_stamp = f"{path}:{lineno}: {kind} timestamp {parts[-1]!r}"
+                continue
+            t0 = min(t0, ts)
     if bad_stamp is not None:
         raise FormatError(bad_stamp)
-    for lineno, parts in _edge_rows(path):
-        try:
-            bucket = (float(parts[-1]) - t0) // window
-        except ValueError as exc:  # the file changed between the passes
-            raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from exc
-        if not math.isfinite(bucket):
-            raise FormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is too far "
-                              f"from the earliest for window width {window!r}")
-        yield parts[0], parts[1], int(bucket)
+    return t0
 
 
 def parse_node_file(path):
     """Parse an optional node-list file: lines of `label snapshot`."""
     entries = []
-    for lineno, line in _text_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected `label snapshot`")
-        try:
-            t = int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[1]!r}") from exc
-        entries.append((parts[0], t))
+    with _text_file(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"{path}:{lineno}: expected `label snapshot`")
+            try:
+                t = int(parts[1])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[1]!r}") from exc
+            entries.append((parts[0], t))
     return entries
 
 
@@ -360,21 +438,25 @@ def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
                    undirected: bool = False) -> SnapshotSequence:
     """Parse an edge-list file and load it into a SnapshotSequence.
 
-    Each non-comment line is `source target snapshot [timestamp]`.  With
-    snapshot_by="window:<W>" the last column is read as a timestamp and
-    bucketed into windows of W seconds starting at the earliest timestamp
-    (the snapshot column may then be omitted entirely).
+    Each non-comment line is `source target snapshot [timestamp]`.  The
+    snapshot field is read with `int()`, so `10`, `+10`, `1_0` and `١٠`
+    name one snapshot.  With snapshot_by="window:<W>" the last field is
+    read as a timestamp and bucketed into windows of W seconds starting at
+    the earliest timestamp (the snapshot field may then be omitted
+    entirely).  The fields a mode does not read are ignored; the lines of
+    more than 4 fields are counted in a warning.
 
-    The file is streamed line by line into per-snapshot lists of each
-    source's targets, so no list of all records is held (window mode reads
-    the file once more beforehand, to find the earliest timestamp), and
-    the loader's peak stays near the size of the graph it returns.
+    Column mode reads the file in one pass, window mode in two (the first
+    finds the earliest timestamp).  Each line is split, checked and
+    appended to its snapshot's list of its source's targets as it is read,
+    so no list of all records is held and the loader's peak stays near the
+    size of the graph it returns.  Errors come in the order of a full parse
+    before any load: a short line where it is found, then the first bad
+    ordinal or timestamp, then the first negative ordinal.
     """
-    return load_edge_stream(
-        _edge_records(path, snapshot_by),
-        extra_nodes=extra_nodes,
-        undirected=undirected,
-    )
+    field, ordinal = _snapshot_field(path, snapshot_by)
+    with _text_file(path) as fh:
+        return _load(enumerate(fh, start=1), path, field, ordinal, extra_nodes, undirected)
 
 
 def write_edge_list(seq: SnapshotSequence, path) -> None:

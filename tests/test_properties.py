@@ -402,7 +402,12 @@ def test_audit_holds_under_random_actions(data):
 # Few labels, so that generated files repeat edges and hold self-edges; a
 # "#" label starts a comment when it comes first on a line.
 FILE_LABELS = ["a", "b"] * 3 + ["7", "07", "#c", "x#"]
-FILE_ORDINALS = ["0", "1", "-0", "+2", "1_0"]
+# One integer spelled several ways, so a loader that compares an ordinal's
+# text with the previous line's must still merge snapshots by value.
+FILE_ORDINALS = ["0", "00", "+0", "0_0", "\u0660", "1", "-0", "+2", "1_0"]
+# Space and tab, and three characters that str.split() splits on but the
+# file reader ends no line at.
+FIELD_SEPARATORS = [" ", "\t", "  ", " ", "\x0c", "\x85", "\u2028"]
 # Lines that a loader must reject, put in about every other file; two or
 # more in one file test which error is reported first.  The last one, a bad
 # ordinal followed by a short line, would otherwise be drawn too rarely.
@@ -411,23 +416,29 @@ FILE_FAULTS = [b"a", b"a \xff 0", b"a b -1", b"b a x", b"a b 1.5 inf", b"b a x\n
 
 @st.composite
 def edge_file_bytes(draw) -> bytes:
-    """Small edge-list files with comments, blank lines, CRLF endings, an
-    optional trailing timestamp column, self-edges and duplicates, plus
-    faulty lines anywhere: short lines, bad or negative ordinals and bytes
-    that are not UTF-8."""
+    """Edge-list files of up to 40 lines with comments, blank lines, CRLF
+    endings, an optional timestamp column, extra fields, self-edges and
+    duplicates, plus faulty lines anywhere: short lines, bad or negative
+    ordinals and bytes that are not UTF-8.  Records come in runs that share
+    a source and mostly an ordinal's text, which also changes to another
+    spelling of the same integer or returns to an earlier snapshot."""
     lines = []
-    for kind in draw(st.lists(st.sampled_from(["record"] * 4 + ["comment", "blank"]),
-                              max_size=12)):
-        if kind == "record":
-            cols = [draw(st.sampled_from(FILE_LABELS)), draw(st.sampled_from(FILE_LABELS)),
-                    draw(st.sampled_from(FILE_ORDINALS))]
-            if draw(st.booleans()):
-                cols.append(draw(st.sampled_from(FILE_ORDINALS)))
-            lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(cols).encode())
+    for kind in draw(st.lists(st.sampled_from(["run"] * 4 + ["comment", "blank"]),
+                              max_size=14)):
+        if kind == "run":
+            src, t = draw(st.sampled_from(FILE_LABELS)), draw(st.sampled_from(FILE_ORDINALS))
+            for _ in range(draw(st.sampled_from([1, 1, 2, 3, 4]))):
+                if draw(st.sampled_from([False, False, True])):
+                    t = draw(st.sampled_from(FILE_ORDINALS))
+                cols = [src, draw(st.sampled_from(FILE_LABELS)), t]
+                cols += [draw(st.sampled_from(FILE_ORDINALS))
+                         for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2])))]
+                lines.append(draw(st.sampled_from(FIELD_SEPARATORS)).join(cols).encode())
         elif kind == "comment":
             lines.append(b"# a b 0")
         else:
             lines.append(draw(st.sampled_from([b"", b"  ", b"\t"])))
+    lines = lines[:40]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILE_FAULTS)))
     return b"".join(draw(st.sampled_from([b"", b" ", b"\t"])) + line

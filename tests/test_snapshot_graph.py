@@ -1,9 +1,12 @@
+import io
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,13 @@ from dgt.snapshot_graph import (
     write_edge_list,
 )
 
-from oracles import common_neighbors, edge_set, random_digraph
+from oracles import (
+    common_neighbors,
+    edge_set,
+    load_edge_stream_oracle,
+    parse_edge_file_oracle,
+    random_digraph,
+)
 
 
 def fresh_stdout(script: str, *args: str) -> str:
@@ -140,6 +149,28 @@ class TestLoadEdgeStream:
     def test_integer_labels(self):
         seq = load_edge_stream([(5, 9, 0)])
         assert seq.label_of(0) == 5 and seq.label_of(1) == 9
+
+    @pytest.mark.parametrize("t", [1.5, 2.0, "x", "1.0", None, b"1", [0]])
+    def test_an_ordinal_that_is_not_an_integer_is_refused(self, t):
+        message = f"record 2: bad snapshot ordinal {t!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_edge_stream([("a", "b", 2), ("b", "c", t), ("c", "a", 2)])
+
+    def test_a_float_equal_to_the_previous_ordinal_is_refused(self):
+        # 2.0 == 2, so a loop that parses only a changed ordinal must also
+        # see a changed type
+        with pytest.raises(FormatError, match=r"^record 3: bad snapshot ordinal 2\.0$"):
+            load_edge_stream([("a", "b", 2), ("b", "c", 2), ("c", "a", 2.0)])
+
+    def test_integer_ordinals_of_any_kind(self):
+        seq = load_edge_stream([("a", "b", True), ("b", "c", np.int64(3)), ("c", "a", "+3"),
+                                ("a", "c", " 0_3 "), ("c", "b", np.uint8(1))])
+        assert seq.ordinals == [1, 3]
+        assert [g.m for g in seq.snapshots] == [2, 3]
+
+    def test_bad_ordinal_reported_before_earlier_negative_ordinal(self):
+        with pytest.raises(FormatError, match=r"^record 2: bad snapshot ordinal 0\.5$"):
+            load_edge_stream([("a", "b", -1), ("b", "c", 0.5), ("c", "a", 0)])
 
 
 class TestGraphInvariants:
@@ -304,9 +335,8 @@ class TestEdgeFileParsing:
     def test_window_mode_reports_a_file_changed_between_passes(self, tmp_path, monkeypatch):
         path = tmp_path / "e.txt"
         path.write_text("a b 0\nb c 30\n", encoding="utf-8")
-        passes = iter([[(1, ["a", "b", "0"]), (2, ["b", "c", "30"])],
-                       [(1, ["a", "b", "0"]), (2, ["b", "c", "x"])]])
-        monkeypatch.setattr(snapshot_graph, "_edge_rows", lambda _: next(passes))
+        passes = iter([io.StringIO("a b 0\nb c 30\n"), io.StringIO("a b 0\nb c x\n")])
+        monkeypatch.setattr(snapshot_graph, "_text_file", lambda _: nullcontext(next(passes)))
         with pytest.raises(FormatError, match=r":2: bad timestamp 'x'"):
             read_edge_list(path, snapshot_by="window:60")
 
@@ -377,6 +407,67 @@ class TestEdgeFileParsing:
         # built before the adjacency maps, raise them to 102 and 172
         assert size <= 85 * edges
         assert peak <= 150 * edges
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"],
+                             ids=["form-feed", "nel", "line-separator"])
+    def test_lines_of_more_than_four_fields_are_counted_in_a_warning(self, tmp_path, caplog,
+                                                                     separator):
+        # the file reader does not end a line at these characters, but
+        # str.split() splits on them, so the second edge is fields 4 to 6
+        path = tmp_path / "e.txt"
+        path.write_text(f"a b 0{separator}c d 0\nb a 0\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="dgt.snapshot_graph"):
+            seq = read_edge_list(path)
+        assert (seq.snapshots[0].n, seq.snapshots[0].m) == (2, 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignored the extra fields of 1 line(s) with more than 4"]
+
+    def test_window_mode_counts_lines_of_more_than_four_fields(self, tmp_path, caplog):
+        # window mode reads the last field, so the ignored ones are 3 to n-1
+        path = tmp_path / "e.txt"
+        path.write_text("a b 9 x 0\nb c 9 120\nc a 9 x y 130\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="dgt.snapshot_graph"):
+            seq = read_edge_list(path, snapshot_by="window:60")
+        assert seq.ordinals == [0, 2]
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignored the extra fields of 2 line(s) with more than 4"]
+
+    def test_four_fields_raise_no_warning(self, tmp_path, caplog):
+        path = tmp_path / "e.txt"
+        path.write_text("a b 0 5\nb c 0\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="dgt.snapshot_graph"):
+            read_edge_list(path)
+            read_edge_list(path, snapshot_by="window:60")
+        assert caplog.records == []
+
+    # (lines, edges of each snapshot by label) where a wrong reuse of the
+    # previous line's source or snapshot would misplace an edge
+    REUSE_CASES = {
+        "self-edge-then-same-source": (["a a 0", "a b 0"], [{("a", "b")}]),
+        # c is a node of no snapshot
+        "self-edge-on-a-source-with-no-edge": (["a b 0", "c c 0", "b a 0"],
+                                               [{("a", "b"), ("b", "a")}]),
+        "source-run-across-snapshots": (["a b 0", "a c 1", "a d 0"],
+                                        [{("a", "b"), ("a", "d")}, {("a", "c")}]),
+        "one-ordinal-spelled-three-ways": (["a b 0", "a c 00", "a d \u0660", "b a 1"],
+                                           [{("a", "b"), ("a", "c"), ("a", "d")}, {("b", "a")}]),
+    }
+
+    @pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+    @pytest.mark.parametrize("case", list(REUSE_CASES))
+    def test_reused_source_and_snapshot(self, tmp_path, case, undirected):
+        lines, expected = self.REUSE_CASES[case]
+        path = tmp_path / "e.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        seq = read_edge_list(path, undirected=undirected)
+        assert seq == load_edge_stream_oracle(parse_edge_file_oracle(path), undirected=undirected)
+        assert seq == load_edge_stream([line.split() for line in lines], undirected=undirected)
+        for g, edges in zip(seq.snapshots, expected, strict=True):
+            if undirected:
+                edges = edges | {(v, u) for u, v in edges}
+            assert {(seq.label_of(i), seq.label_of(j)) for i, j in edge_set(g)} == edges
+            assert {seq.label_of(v) for v in g.nodes} == {v for edge in edges for v in edge}
+        assert seq.self_edges_dropped == sum(line.split()[0] == line.split()[1] for line in lines)
 
     def test_node_file(self, tmp_path):
         path = tmp_path / "nodes.txt"

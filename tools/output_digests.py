@@ -7,7 +7,12 @@ The configurations are the three benchmark workloads of
 `--diagnostics` and again with `--jobs 2 --diagnostics`: twelve lines of
 `<sha256>  <workload> seed=<s> <mode>`.  A change that must keep every
 output byte prints the same lines as its parent, and the same lines under
-any `PYTHONHASHSEED`.  Inputs and outputs go to a temporary directory that
+any `PYTHONHASHSEED`.  The expected lines are pinned in
+`tools/output_digests.txt`:
+
+    PYTHONPATH=src python tools/output_digests.py | diff tools/output_digests.txt -
+
+Inputs and outputs go to a temporary directory that
 is removed on exit; nothing under `bench/` is written.
 """
 
