@@ -161,8 +161,10 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     float, even an integral one).
 
     `extra_nodes` is an optional iterable of (label, ordinal) declaring
-    nodes that belong to a snapshot even without incident edges.  With
-    `undirected=True` every record is materialized as two directed edges.
+    nodes that belong to a snapshot even without incident edges; its
+    ordinals are read the same way, and a bad or negative one raises
+    FormatError at once.  With `undirected=True` every record is
+    materialized as two directed edges.
 
     Raises FormatError on empty input, an ordinal that is not an integer
     (naming the record's position, counted from 1), a negative ordinal, or
@@ -198,10 +200,10 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
     ValueError; the first such error, and then the first negative
     ordinal, are raised once every row has been read.
 
-    Consecutive rows mostly share their ordinal and often their source,
-    so the loop keeps the previous row's: `ordinal` runs only when the
-    ordinal differs from the previous row's, and a repeated source reuses
-    its id and target list.  Both reset when the snapshot changes.
+    Consecutive lines mostly share their ordinal text, so `ordinal` runs
+    on a line only when that text differs from the previous line's, and
+    the snapshot bucket is looked up only when the snapshot changes.  A
+    record's ordinal is always read (2.0 == 2, but only one is an ordinal).
     """
     text = path is not None
     where = f"{path}:" if text else "record "
@@ -209,8 +211,7 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
     get = label_to_id.get
     # per input ordinal: source id -> its target ids, repeats included
     buckets: dict[int, dict[int, list[int]]] = {}
-    prev_raw = prev_src = prev_t = _UNSET
-    out = None  # the target list of source i in the current bucket, once it has one
+    prev_raw = prev_t = _UNSET
     self_dropped = wide = 0
     bad = negative = None
     for lineno, row in rows:
@@ -227,9 +228,7 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
                 src, dst, raw = parts[0], parts[1], parts[field]
         else:
             src, dst, raw = row
-            if type(raw) is not type(prev_raw):  # 2.0 == 2, but only one is an ordinal
-                prev_raw = _UNSET
-        if raw != prev_raw:
+        if not text or raw != prev_raw:
             try:
                 t = ordinal(raw)
             except ValueError as exc:
@@ -246,24 +245,20 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
                 bucket = buckets.get(t)
                 if bucket is None:
                     bucket = buckets[t] = {}
-                prev_src = _UNSET
-        if src != prev_src:
-            prev_src = src
-            i = get(src)
-            if i is None:
-                i = label_to_id[src] = len(label_to_id)
-            out = None
+        i = get(src)
+        if i is None:
+            i = label_to_id[src] = len(label_to_id)
         j = get(dst)
         if j is None:
             j = label_to_id[dst] = len(label_to_id)
         if i == j:
             self_dropped += 1
             continue
+        out = bucket.get(i)
         if out is None:
-            out = bucket.get(i)
-            if out is None:
-                out = bucket[i] = []
-        out.append(j)
+            bucket[i] = [j]
+        else:
+            out.append(j)
         if undirected:
             back = bucket.get(j)
             if back is None:
@@ -279,7 +274,10 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
 
     declared: dict[int, set[int]] = {}
     for label, t in extra_nodes or ():
-        t = int(t)
+        try:
+            t = _ordinal(t)
+        except ValueError as exc:
+            raise FormatError(f"{exc} in node list") from None
         if t < 0:
             raise FormatError(f"negative snapshot ordinal {t} in node list")
         declared.setdefault(t, set()).add(label_to_id.setdefault(label, len(label_to_id)))

@@ -157,10 +157,18 @@ class TestLoadEdgeStream:
             load_edge_stream([("a", "b", 2), ("b", "c", t), ("c", "a", 2)])
 
     def test_a_float_equal_to_the_previous_ordinal_is_refused(self):
-        # 2.0 == 2, so a loop that parses only a changed ordinal must also
-        # see a changed type
         with pytest.raises(FormatError, match=r"^record 3: bad snapshot ordinal 2\.0$"):
             load_edge_stream([("a", "b", 2), ("b", "c", 2), ("c", "a", 2.0)])
+
+    @pytest.mark.parametrize("t, message", [
+        (1.5, "bad snapshot ordinal 1.5 in node list"),
+        ("x", "bad snapshot ordinal 'x' in node list"),
+        (None, "bad snapshot ordinal None in node list"),
+        ("-1", "negative snapshot ordinal -1 in node list"),
+    ])
+    def test_a_node_list_ordinal_that_is_not_a_snapshot_is_refused(self, t, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_edge_stream([("a", "b", 1)], extra_nodes=[("x", 1), ("y", t)])
 
     def test_integer_ordinals_of_any_kind(self):
         seq = load_edge_stream([("a", "b", True), ("b", "c", np.int64(3)), ("c", "a", "+3"),
@@ -440,9 +448,9 @@ class TestEdgeFileParsing:
             read_edge_list(path, snapshot_by="window:60")
         assert caplog.records == []
 
-    # (lines, edges of each snapshot by label) where a wrong reuse of the
-    # previous line's source or snapshot would misplace an edge
-    REUSE_CASES = {
+    # (lines, edges of each snapshot by label) where a loader that reused
+    # the previous line's source or snapshot wrongly would misplace an edge
+    REPEAT_CASES = {
         "self-edge-then-same-source": (["a a 0", "a b 0"], [{("a", "b")}]),
         # c is a node of no snapshot
         "self-edge-on-a-source-with-no-edge": (["a b 0", "c c 0", "b a 0"],
@@ -454,9 +462,9 @@ class TestEdgeFileParsing:
     }
 
     @pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
-    @pytest.mark.parametrize("case", list(REUSE_CASES))
-    def test_reused_source_and_snapshot(self, tmp_path, case, undirected):
-        lines, expected = self.REUSE_CASES[case]
+    @pytest.mark.parametrize("case", list(REPEAT_CASES))
+    def test_lines_that_repeat_a_source_or_snapshot(self, tmp_path, case, undirected):
+        lines, expected = self.REPEAT_CASES[case]
         path = tmp_path / "e.txt"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         seq = read_edge_list(path, undirected=undirected)
