@@ -11,7 +11,7 @@ ten seeds each:
 Carrying prior structure should match or beat the cold restart.
 """
 
-import numpy as np
+from statistics import mean
 
 from dgt import (
     GameConfig,
@@ -35,8 +35,8 @@ for kind in ("dgts", "dgtp", "dgt"):
     for results in run_repetition(sequence, VariantKind(kind), game,
                                   truth=truth, repetitions=range(10)):
         scores = [evaluate_outcome(sequence, t, r, truth)[0] for t, r in enumerate(results)]
-        per_seed.append(np.mean(scores))
+        per_seed.append(mean(scores))
     counts = [r.n_communities for r in results]
-    print(f"{kind:5s} mean NMI over 10 seeds: {np.mean(per_seed):.4f} "
+    print(f"{kind:5s} mean NMI over 10 seeds: {mean(per_seed):.4f} "
           f"(last-seed community counts {counts}, truth "
           f"{[truth.community_count(t) for t in range(config.num_snapshots)]})")

@@ -6,7 +6,7 @@ shows how much partially known membership (say, published guild rosters)
 improves recovery.
 """
 
-import numpy as np
+from statistics import mean, stdev
 
 from dgt import (
     GameConfig,
@@ -31,5 +31,5 @@ for fraction in (0.0, 0.1, 0.2, 0.3, 0.5):
     for results in run_repetition(sequence, variant, game, truth=truth,
                                   repetitions=range(8)):
         scores = [evaluate_outcome(sequence, t, r, truth)[0] for t, r in enumerate(results)]
-        per_seed.append(np.mean(scores))
-    print(f"{fraction:8.1f}  {np.mean(per_seed):.4f}    {np.std(per_seed, ddof=1):.4f}")
+        per_seed.append(mean(scores))
+    print(f"{fraction:8.1f}  {mean(per_seed):.4f}    {stdev(per_seed):.4f}")

@@ -1,12 +1,15 @@
-"""The game's random streams: numpy's SeedSequence, PCG64 and
-`Generator.permutation`, reproduced bit for bit in pure Python.
+"""The package's random streams: numpy's SeedSequence, PCG64 and the
+`Generator` draws that dgt uses, reproduced bit for bit in pure Python.
 
 `SeedSequence(entropy, spawn_key).generate_state(k)` equals numpy's
-`generate_state(k, np.uint64)`, and `PCG64(seed).permutation(n)` equals
-`np.random.Generator(np.random.PCG64(seed)).permutation(n)`, including
-the buffered 32-bit half that one permutation leaves for the next.  Owning
-the streams means a numpy release cannot move an output byte, and the run
-path does not import numpy.
+`generate_state(k, np.uint64)`.  For `rng = PCG64(seed, spawn_key)` and
+`gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
+spawn_key=spawn_key)))`, `rng.permutation(n)`, `rng.random()`,
+`rng.integers(low, high)` and `rng.choice(n, size)` equal
+`gen.permutation(n)`, `gen.random()`, `gen.integers(low, high)` and
+`gen.choice(n, size, replace=False)`, including the buffered 32-bit half
+that one draw leaves for the next.  Owning the streams means a numpy
+release cannot move an output byte, and dgt does not import numpy.
 """
 
 from __future__ import annotations
@@ -80,10 +83,10 @@ class SeedSequence:
 
 
 class PCG64:
-    """numpy's PCG64 (XSL-RR output) seeded from `SeedSequence(seed)`."""
+    """numpy's PCG64 (XSL-RR output) seeded from `SeedSequence(seed, spawn_key)`."""
 
-    def __init__(self, seed: int):
-        s_hi, s_lo, i_hi, i_lo = SeedSequence(seed).generate_state(4)
+    def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
+        s_hi, s_lo, i_hi, i_lo = SeedSequence(seed, spawn_key).generate_state(4)
         self.inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
         # pcg's srandom: step from 0 (giving inc), add the seed, step again
         self.state = ((self.inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self.inc) & _M128
@@ -118,5 +121,65 @@ class PCG64:
             j = next32() & mask
             while j > i:
                 j = next32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def random(self) -> float:
+        """numpy's `Generator.random()`: the top 53 bits of a 64-bit draw,
+        scaled to [0, 1).  The buffered half is left alone."""
+        return (self.next64() >> 11) * 2.0**-53
+
+    def _lemire(self, top: int) -> int:
+        """numpy's 32-bit Lemire draw in [0, top], `top` < 2**32: the high
+        word of a 32-bit draw times top + 1, redrawn while the low word
+        falls below (2**32 - top - 1) % (top + 1)."""
+        if top == 0:
+            return 0
+        if top == _M32:
+            return self.next32()
+        span = top + 1
+        product = self.next32() * span
+        if product & _M32 < span:
+            threshold = (_M32 - top) % span
+            while product & _M32 < threshold:
+                product = self.next32() * span
+        return product >> 32
+
+    def integers(self, low: int, high: int) -> int:
+        """numpy's `Generator.integers(low, high)`: one int in [low, high)."""
+        if not 0 < high - low <= 1 << 32:
+            # numpy draws 64-bit words past 2**32 values, too many to check against
+            raise PreconditionError(f"integers range must be in 1..2**32, got [{low}, {high})")
+        return low + self._lemire(high - low - 1)
+
+    def choice(self, n: int, size: int) -> list[int]:
+        """numpy's `Generator.choice(n, size, replace=False)`.
+
+        Above 10 000 items with `size` over n // 50 it is a backward
+        Fisher-Yates over range(n) stopped once the last `size` places
+        (or all but place 0) are drawn.  Otherwise it is Floyd's algorithm
+        (for j in n - size .. n - 1 take a draw in [0, j], or j itself if
+        the draw is taken) followed by a backward Fisher-Yates of the
+        picks.  Every index is a Lemire draw."""
+        if n > 1 << 32:
+            raise PreconditionError(f"choice population must be <= 2**32, got {n}")
+        if not 0 <= size <= n:
+            raise PreconditionError(f"choice size must be in 0..{n}, got {size}")
+        lemire = self._lemire
+        if n > 10_000 and size > n // 50:
+            out = list(range(n))
+            for i in range(n - 1, max(n - size, 1) - 1, -1):
+                j = lemire(i)
+                out[i], out[j] = out[j], out[i]
+            return out[n - size:]
+        out, taken = [], set()
+        for j in range(n - size, n):
+            pick = lemire(j)
+            if pick in taken:
+                pick = j
+            taken.add(pick)
+            out.append(pick)
+        for i in range(size - 1, 0, -1):
+            j = lemire(i)
             out[i], out[j] = out[j], out[i]
         return out

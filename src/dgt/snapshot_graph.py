@@ -166,11 +166,13 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     FormatError at once.  With `undirected=True` every record is
     materialized as two directed edges.
 
-    Raises FormatError on empty input, an ordinal that is not an integer
-    (naming the record's position, counted from 1), a negative ordinal, or
-    a snapshot (by its input ordinal) with no edges at all.  These are
-    reported only once the whole stream has been read, in that order, so
-    an error the stream itself raises (a parse error) comes first.
+    Raises FormatError at once on a record that is not a (source, target,
+    ordinal) tuple or list of three.  Raises FormatError on empty input,
+    an ordinal that is not an integer (naming the record's position,
+    counted from 1), a negative ordinal, or a snapshot (by its input
+    ordinal) with no edges at all.  These are reported only once the whole
+    stream has been read, in that order, so an error the stream itself
+    raises (a parse error) comes first.
     """
     return _load(enumerate(records, 1), None, None, _ordinal, extra_nodes, undirected)
 
@@ -195,7 +197,8 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
     `rows` yields (position, row).  With a `path`, a row is a line of that
     file: it is split on whitespace, blank and `#` lines are skipped, a
     line of fewer than 3 fields raises at once, and the ordinal is field
-    `field`.  Without one, a row is a (source, target, ordinal) record.
+    `field`.  Without one, a row is a (source, target, ordinal) record,
+    and any other row raises at once.
     `ordinal` turns the ordinal into a snapshot number or raises
     ValueError; the first such error, and then the first negative
     ordinal, are raised once every row has been read.
@@ -226,8 +229,11 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
                     raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
                 wide += len(parts) > 4
                 src, dst, raw = parts[0], parts[1], parts[field]
-        else:
+        elif isinstance(row, (tuple, list)) and len(row) == 3:
             src, dst, raw = row
+        else:
+            raise FormatError(f"record {lineno}: expected a (source, target, ordinal) "
+                              f"tuple or list, got {row!r}")
         if not text or raw != prev_raw:
             try:
                 t = ordinal(raw)
@@ -428,6 +434,8 @@ def parse_node_file(path):
                 t = int(parts[1])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[1]!r}") from exc
+            if t < 0:
+                raise FormatError(f"{path}:{lineno}: negative snapshot ordinal {t}")
             entries.append((parts[0], t))
     return entries
 

@@ -5,19 +5,20 @@ pair independently (p_in within a community, p_out across).  Each later
 snapshot moves a fixed fraction of nodes to other communities and
 resamples only the edges incident to moved nodes, so consecutive snapshots
 keep realistic edge-churn locality.
+
+The draws come from `dgt.rng` and replay numpy's `Generator.random`,
+`choice(replace=False)` and `integers` call for call, so a fixed rng_seed
+gives the benchmark it gave when this module called numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 from .initialization import GroundTruth
+from .rng import PCG64
 from .snapshot_graph import SnapshotGraph, SnapshotSequence
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,42 +51,39 @@ def _expected_edges(cfg: SynthConfig) -> float:
     return intra_pairs * cfg.p_in + inter_pairs * cfg.p_out
 
 
-def _prob_matrix(assignment: np.ndarray, cfg: SynthConfig) -> np.ndarray:
-    import numpy as np
+def _attempt(cfg: SynthConfig, rng: PCG64) -> tuple[list[list[set[int]]], list[list[int]]]:
+    """Each snapshot's out-neighbour sets and community list.
 
-    same = assignment[:, None] == assignment[None, :]
-    probs = np.where(same, cfg.p_in, cfg.p_out)
-    np.fill_diagonal(probs, 0.0)
-    return probs
-
-
-def _attempt(cfg: SynthConfig, rng: np.random.Generator):
-    import numpy as np
-
-    n = cfg.n
-    assignment = np.repeat(np.arange(cfg.communities), cfg.community_size)
-    adjacency = rng.random((n, n)) < _prob_matrix(assignment, cfg)
-    snapshots_adj = [adjacency]
-    assignments = [assignment.copy()]
+    Each snapshot replays numpy's `rng.random((n, n)) < probs`: one 64-bit
+    draw per ordered pair, row-major, the diagonal (probability 0)
+    included.  `random() < p` is tested as `next64() >> 11 < p * 2**53`,
+    both sides scaled by 2**53 exactly.  Snapshot 0 counts every node as
+    moved.
+    """
+    n, communities = cfg.n, cfg.communities
+    assignment = [v // cfg.community_size for v in range(n)]
+    p_in, p_out = cfg.p_in * 2**53, cfg.p_out * 2**53
+    next64 = rng.next64
     moved_count = int(cfg.churn * n)
-    for _ in range(1, cfg.num_snapshots):
-        assignment = assignment.copy()
-        if moved_count > 0:
-            moved = rng.choice(n, size=moved_count, replace=False)
-            if cfg.communities > 1:
-                shift = rng.integers(1, cfg.communities, size=moved_count)
-                assignment[moved] = (assignment[moved] + shift) % cfg.communities
-        else:
-            moved = np.empty(0, dtype=np.int64)
-        touched = np.zeros(n, dtype=bool)
-        touched[moved] = True
-        incident = touched[:, None] | touched[None, :]
-        fresh = rng.random((n, n)) < _prob_matrix(assignment, cfg)
-        adjacency = np.where(incident, fresh, snapshots_adj[-1])
-        np.fill_diagonal(adjacency, False)
-        snapshots_adj.append(adjacency)
-        assignments.append(assignment.copy())
-    return snapshots_adj, assignments
+    moved: list[int] = list(range(n))
+    rows: list[set[int]] = [set() for _ in range(n)]
+    snapshots, assignments = [], []
+    for t in range(cfg.num_snapshots):
+        if t:
+            moved = rng.choice(n, moved_count)
+            if communities > 1:
+                for v in moved:
+                    assignment[v] = (assignment[v] + rng.integers(1, communities)) % communities
+        moved_set = set(moved)
+        by_community = [[p_in if a == c else p_out for a in assignment] for c in range(communities)]
+        rows = list(rows)
+        for i in range(n):
+            fresh = {j for j, p in enumerate(by_community[assignment[i]]) if next64() >> 11 < p}
+            fresh.discard(i)
+            rows[i] = fresh if i in moved_set else (rows[i] - moved_set) | (fresh & moved_set)
+        snapshots.append(rows)
+        assignments.append(list(assignment))
+    return snapshots, assignments
 
 
 def generate(cfg: SynthConfig) -> tuple[SnapshotSequence, GroundTruth]:
@@ -93,36 +91,26 @@ def generate(cfg: SynthConfig) -> tuple[SnapshotSequence, GroundTruth]:
 
     Node labels equal node ids (0..n-1).  If a sampled snapshot comes out
     edgeless the whole draw retries on a fresh seed stream; a config whose
-    expected edge count is zero is rejected outright.  numpy is imported
-    here, not with the package, so that `dgt run` never loads it.
+    expected edge count is zero is rejected outright.
     """
-    import numpy as np
-
     if _expected_edges(cfg) == 0.0:
         raise ConfigError("infeasible config: expected edge count is zero")
     n = cfg.n
     for attempt in range(100):
-        seed_seq = np.random.SeedSequence(cfg.rng_seed, spawn_key=(attempt,))
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
-        snapshots_adj, assignments = _attempt(cfg, rng)
-        if all(adj.any() for adj in snapshots_adj):
+        snapshots_rows, assignments = _attempt(cfg, PCG64(cfg.rng_seed, spawn_key=(attempt,)))
+        if all(any(rows) for rows in snapshots_rows):
             break
     else:
         raise ConfigError("could not sample a sequence with edges in every snapshot")
 
     snapshots = []
-    for t, adj in enumerate(snapshots_adj):
-        src, dst = np.nonzero(adj)
-        edges = list(zip(src.tolist(), dst.tolist()))
+    for t, rows in enumerate(snapshots_rows):
+        edges = [(i, j) for i, row in enumerate(rows) for j in sorted(row)]
         snapshots.append(SnapshotGraph.from_edges(edges, index_t=t, nodes=range(n)))
     seq = SnapshotSequence(
         snapshots=snapshots,
         label_to_id={v: v for v in range(n)},
         id_to_label=list(range(n)),
     )
-    truth = GroundTruth(
-        by_snapshot={
-            t: {v: int(a[v]) for v in range(n)} for t, a in enumerate(assignments)
-        }
-    )
+    truth = GroundTruth(by_snapshot={t: dict(enumerate(a)) for t, a in enumerate(assignments)})
     return seq, truth

@@ -20,8 +20,8 @@ from dgt.initialization import write_ground_truth
 from dgt.snapshot_graph import read_edge_list, write_edge_list
 from dgt.synth import SynthConfig, generate
 
-FIXTURE_CFG = SynthConfig(communities=3, community_size=6, p_in=0.5, p_out=0.02,
-                          churn=0.1, num_snapshots=3, rng_seed=9)
+from test_acceptance import FIXTURE
+from test_synth import DIGESTS, FIXTURE_CFG, synth_digest
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,15 @@ class TestRun:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == "dgt: error: snapshot 5 has no edges\n"
+
+    def test_negative_node_list_ordinal_named_by_its_line(self, tmp_path, capsys):
+        (tmp_path / "edges.txt").write_text("a b 0\nb c 0\n", encoding="utf-8")
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("x 0\n# y -2\ny -1\n", encoding="utf-8")
+        rc = cli.main(["run", "--input", str(tmp_path / "edges.txt"), "--nodes", str(nodes),
+                       "--variant", "dgts", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"dgt: error: {nodes}:3: negative snapshot ordinal -1\n"
 
     def test_truth_label_that_int_rejects_is_skipped(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("a b 0\nb c 0\nc a 0\n", encoding="utf-8")
@@ -584,17 +593,24 @@ class TestRunMemory:
 
 
 class TestRunWithoutNumpy:
-    # numpy serves only dgt.synth: the run path draws its seeds, its play
-    # orders and dgtg's seeding order from dgt.rng
+    # dgt imports no numpy: the run path draws its seeds, its play orders
+    # and dgtg's seeding order, and dgt.synth its benchmarks, from dgt.rng
     SCRIPT = ("import sys\nfrom dgt import cli\n"
               "assert cli.main(sys.argv[1:]) == 0\n"
               "print('numpy' in sys.modules)\n")
+    GENERATE = ("import pickle, sys\nsys.modules['numpy'] = None\n"
+                "from dgt.synth import generate\n"
+                "print(pickle.dumps(generate(pickle.loads(bytes.fromhex(sys.argv[1])))).hex())\n")
 
     def test_run_never_imports_numpy(self, data_dir, tmp_path):
         out = run_fresh(self.SCRIPT, "run", "--input", str(data_dir / "edges.txt"),
                         "--truth", str(data_dir / "truth.csv"), "--variant", "dgtg",
                         "--seed-fraction", "0.3", "--diagnostics", "--out", str(tmp_path / "out"))
         assert out.splitlines()[-1] == "False"
+
+    def test_generate_with_numpy_unimportable_matches_the_pin(self):
+        out = run_fresh(self.GENERATE, pickle.dumps(FIXTURE).hex())
+        assert synth_digest(*pickle.loads(bytes.fromhex(out))) == DIGESTS[FIXTURE]
 
 
 class TestRunWithoutPool:

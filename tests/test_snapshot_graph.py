@@ -156,6 +156,15 @@ class TestLoadEdgeStream:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_edge_stream([("a", "b", 2), ("b", "c", t), ("c", "a", 2)])
 
+    @pytest.mark.parametrize("record", [("a", "b"), 7, "ab0"],
+                             ids=["two-fields", "not-a-sequence", "string"])
+    def test_a_malformed_record_is_refused_at_once(self, record):
+        # raised before the earlier record's bad ordinal, as a short line is
+        message = (f"record 3: expected a (source, target, ordinal) tuple or list, "
+                   f"got {record!r}")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_edge_stream([("a", "b", 0), ("b", "c", "x"), record, ("c", "a", 0)])
+
     def test_a_float_equal_to_the_previous_ordinal_is_refused(self):
         with pytest.raises(FormatError, match=r"^record 3: bad snapshot ordinal 2\.0$"):
             load_edge_stream([("a", "b", 2), ("b", "c", 2), ("c", "a", 2.0)])

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +9,33 @@ from dgt.snapshot_graph import diff
 from dgt.synth import SynthConfig, generate
 
 from oracles import edge_set
+from test_acceptance import FIXTURE
+
+# the sequence that the CLI tests write out and run
+FIXTURE_CFG = SynthConfig(communities=3, community_size=6, p_in=0.5, p_out=0.02,
+                          churn=0.1, num_snapshots=3, rng_seed=9)
+
+# synth_digest of generate(cfg), computed when synth drew from numpy's Generator
+DIGESTS = {
+    replace(FIXTURE, rng_seed=0): "29c39f793e13f05b3932256926671b06e17d13aa110d0c6c83e77c31e3a1f8da",
+    replace(FIXTURE, rng_seed=1): "a4d01c5764cb1914f5604db7430d8f15a7321e77919b17f7a2241b7b34ad2bd4",
+    replace(FIXTURE, rng_seed=2): "cb62d661c8d812cad03a242be9a1cc5bad48de526de8b940ce18a91463bd0d1a",
+    replace(FIXTURE, rng_seed=3): "249deec52e8485782c597182fafe6b6b36a8859fc3d4cda57072405855e8d271",
+    replace(FIXTURE, rng_seed=4): "a9f7a36ee6f3f4859587e40849dbf63d58556d9efe9360d2a43aad7654832f15",
+    replace(FIXTURE, rng_seed=5): "f16a070673286946c6fe621efd392e9d21ef74c1761247fbf6454e85442947c4",
+    FIXTURE: "e6b9b3ff54f58e70edf67f70a68f8f41fd635138fa16199aa1a7f68eeb7ed890",
+    FIXTURE_CFG: "27401dfa14cf7cf8584df7688138ed80f3757b7f1a9c3256eadb970cbd62d86c",
+}
+
+
+def synth_digest(seq, truth) -> str:
+    """sha256 of a generated benchmark: an `e t i j` line per edge i -> j
+    of snapshot t, then a `c t v k` line per node v of community k."""
+    lines = [f"e {t} {i} {j}" for t, g in enumerate(seq.snapshots)
+             for i in sorted(g.out_adj) for j in g.out_adj[i]]
+    lines += [f"c {t} {v} {k}" for t, labels in truth.by_snapshot.items()
+              for v, k in labels.items()]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestSynthConfig:
@@ -29,6 +58,11 @@ class TestSynthConfig:
     def test_infeasible_expected_edges(self):
         with pytest.raises(ConfigError, match="infeasible"):
             generate(SynthConfig(communities=2, community_size=1, p_in=0.5, p_out=0.0))
+
+
+@pytest.mark.parametrize("cfg", DIGESTS, ids=lambda cfg: f"seed{cfg.rng_seed}-n{cfg.n}")
+def test_pinned_bytes(cfg):
+    assert synth_digest(*generate(cfg)) == DIGESTS[cfg]
 
 
 class TestGenerate:
