@@ -17,7 +17,7 @@ plain dict holding only those pairs; `similarity()` and each member walk
 of `_SimilarityScorer` read any other pair's null-model value from a table
 kept per in-degree, `GainContext.null_row(d_in)[d_out]`, so kernel memory
 does not grow with the pairs the game scores: the tables hold at most
-(distinct in-degrees) x (max out-degree + 1) floats.
+(distinct in-degrees) x (max out-degree + 1) integers.
 
 The similarity gain of an agent sums the kernel over the union of its
 co-members: each node sharing at least one community with the agent
@@ -33,6 +33,20 @@ co-member once per shared community as its triple sum dictates.  Both
 gains are normalized by the snapshot edge count, as is the loss (one unit
 per held label), so utilities of different snapshots live on comparable
 scales.
+
+Every value the scorers hold and compare is a Python int in one fixed
+unit per gain, so no decision depends on the order of a sum:
+
+- a kernel value is counted in units of 1/(4mn): 2n*w*(2m - d_in*d_out),
+  4m*w, n*d_in*d_out and -n*d_in*d_out for the four branches above, and
+  one similarity label costs 4mn units;
+- a modularity raw gain is sum(2m*A*|labels(j)| - d_in*d_out) over the
+  co-members j, and one modularity label costs 4m units.
+
+A label costs 1/m of utility in either gain, so a value of u units is the
+utility u / (label cost * m).  Floats appear only at the public boundary,
+each by one correctly rounded int division: `similarity()`, `utility()`,
+`utility_delta()` and the game's per-pass totals.
 
 The two gains are two algorithms, so each has its own scorer class,
 `_SimilarityScorer` and `_ModularityScorer`: the only code that sums a
@@ -91,11 +105,12 @@ class GainContext:
     nodes sharing one of its out-neighbours: at most its out-degree plus
     the in-degrees of its out-neighbours, so all rows together hold at
     most m plus the sum of squared in-degrees, whatever pairs the game
-    scores.  Null-model values come from `null_row`, one table per
-    distinct in-degree of the agents read, each max out-degree + 1 floats
-    long.  A pair with no edge and w common out-neighbours holds the
-    one float w / n that every row shares, and an edge holds the one float
-    its w and d_in * d_out give.  Safe to share across repeated runs on the
+    scores.  Every kernel value is an int in units of 1/(4mn) (module
+    docstring).  Null-model values come from `null_row`, one table per
+    distinct in-degree of the agents read, each max out-degree + 1 ints
+    long.  A pair with no edge and w common out-neighbours holds the one
+    int 4m*w that every row shares, and an edge holds the one int its w
+    and d_in * d_out give.  Safe to share across repeated runs on the
     same snapshot.
     """
 
@@ -109,20 +124,21 @@ class GainContext:
         self.m = graph.m
         self.n = graph.n
         size = graph.max_node + 1
-        self.twom = 2.0 * graph.m
-        self.fourm = 4.0 * graph.m
+        self.twom = 2 * graph.m
+        self.fourm = 4 * graph.m
+        self.fourmn = self.fourm * graph.n
         self.d_in = [0] * size
         self.d_out = [0] * size
         for v in graph.nodes:
             self.d_in[v] = len(graph.in_adj[v])
             self.d_out[v] = len(graph.out_adj[v])
-        self._rows: dict[int, dict[int, float]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
         # (w, d_in[i] * d_out[j]) -> the kernel value of an edge (i, j) with
-        # w common out-neighbours: the two integers fix the float, so every
-        # row shares one float per pair of them
-        self._edge_values: dict[tuple[int, int], float] = {}
+        # w common out-neighbours: the two integers fix the value, so every
+        # row shares one int per pair of them
+        self._edge_values: dict[tuple[int, int], int] = {}
 
-    def kernel_row(self, agent: int) -> dict[int, float]:
+    def kernel_row(self, agent: int) -> dict[int, int]:
         """The agent's sparse kernel row: `row[j]` is the kernel value of
         the ordered pair (agent, j) for each j it holds; every pair it
         lacks takes the null-model branch."""
@@ -131,22 +147,21 @@ class GainContext:
             row = self._rows[agent] = self._build_row(agent)
         return row
 
-    def null_row(self, d_in: int) -> list[float]:
-        """`null_row(d_in)[d]` is -(d_in * d) / (4m), the null-model kernel
-        value of a pair (i, j) with in-degree d_in at i and out-degree d at
-        j: the value of every pair a kernel row lacks.  Built on first use
-        per in-degree and kept."""
+    def null_row(self, d_in: int) -> list[int]:
+        """`null_row(d_in)[d]` is -n * d_in * d, the null-model kernel value
+        of a pair (i, j) with in-degree d_in at i and out-degree d at j:
+        the value of every pair a kernel row lacks.  Built on first use per
+        in-degree and kept."""
         row = self._null_rows.get(d_in)
         if row is None:
-            fourm = self.fourm
-            row = self._null_rows[d_in] = [-(d_in * d) / fourm
-                                           for d in range(self._max_d_out + 1)]
+            step = -self.n * d_in
+            row = self._null_rows[d_in] = [step * d for d in range(self._max_d_out + 1)]
         return row
 
     # set on first use rather than in __init__, so building a context costs
     # no more when no null value is read
     @cached_property
-    def _null_rows(self) -> dict[int, list[float]]:
+    def _null_rows(self) -> dict[int, list[int]]:
         return {}
 
     @cached_property
@@ -154,13 +169,13 @@ class GainContext:
         return max(self.d_out)
 
     @cached_property
-    def _shared_values(self) -> list[float]:
-        """`_shared_values[w]` is w / n, the kernel value of a pair with no
-        edge and w >= 1 common out-neighbours; a row stores this one float
+    def _shared_values(self) -> list[int]:
+        """`_shared_values[w]` is 4m * w, the kernel value of a pair with no
+        edge and w >= 1 common out-neighbours; a row stores this one int
         rather than a new one per pair."""
-        return [w / self.n for w in range(self._max_d_out + 1)]
+        return [self.fourm * w for w in range(self._max_d_out + 1)]
 
-    def _build_row(self, i: int) -> dict[int, float]:
+    def _build_row(self, i: int) -> dict[int, int]:
         g = self.graph
         # w[j]: targets that both i and j point to, for every j sharing one
         w: dict[int, int] = {}
@@ -168,16 +183,16 @@ class GainContext:
             for j in g.in_adj[t]:
                 if j != i:
                     w[j] = w.get(j, 0) + 1
-        row: dict[int, float] = {}
+        row: dict[int, int] = {}
         d_in_i, d_out = self.d_in[i], self.d_out
         edge_values = self._edge_values
         for j in g.out_adj[i]:
             key = (w.get(j, 0), d_in_i * d_out[j])
             value = edge_values.get(key)
             if value is None:
-                wj, dd = key[0], float(key[1])
-                value = edge_values[key] = (wj * (1.0 - dd / self.twom) if wj >= 1
-                                            else dd / self.fourm)
+                wj, dd = key
+                value = edge_values[key] = (2 * self.n * wj * (self.twom - dd) if wj >= 1
+                                            else self.n * dd)
             row[j] = value
         shared = self._shared_values
         for j, wj in w.items():
@@ -204,7 +219,7 @@ def similarity(ctx: GainContext, i: int, j: int) -> float:
         raise PreconditionError("similarity requires i != j")
     if not ctx.graph.has_node(i) or not ctx.graph.has_node(j):
         raise PreconditionError(f"nodes {i}, {j} must both be in the snapshot")
-    return ctx.kernel_row(i).get(j, ctx.null_row(ctx.d_in[i])[ctx.d_out[j]])
+    return ctx.kernel_row(i).get(j, ctx.null_row(ctx.d_in[i])[ctx.d_out[j]]) / ctx.fourmn
 
 
 def _check_gain(gain: str) -> None:
@@ -240,36 +255,36 @@ def utility(ctx: GainContext, agent: int, labels, structure, gain: str = "simila
     _check_agent(ctx, agent)
     _check_labels(labels, structure)
     _check_members(ctx.graph, structure, labels)
-    g = _SCORERS[gain](ctx, agent, structure, labels).total()
-    return UtilityBreakdown(gain=g, loss=len(labels) / ctx.m)
+    score = _SCORERS[gain](ctx, agent, structure, labels)
+    return UtilityBreakdown(gain=score.as_utility(score.raw_total()), loss=len(labels) / ctx.m)
 
 
 class _Scorer:
     """One agent's gain against the current structure: its total and the
-    utility changes of its join, leave and switch moves.  A subclass per
-    gain sums it: `raw_total`, `_raw_gain` and `switch`; `_SCORERS` picks
-    the subclass by gain name.
+    utility changes of its join, leave and switch moves, all ints in the
+    gain's units.  A subclass per gain sums it: `raw_total`, `_raw_gain`
+    and `switch`; `_SCORERS` picks the subclass by gain name.
 
-    `held` defaults to the agent's own labels.  Built once per agent turn,
-    so the loss terms (and a subclass's own per-agent state) are computed
-    once; each community's raw gain is memoized, so a switch reuses the
-    values its two legs already computed.  Each subclass sets every slot in
-    its own `__init__` rather than calling a base one, so building a scorer
-    costs one call per turn.
+    `held` defaults to the agent's own labels and `cost` is one label's
+    cost in the gain's units.  Built once per agent turn; each community's
+    raw gain is memoized, so a switch reuses the values its two legs
+    already computed.  Each subclass sets every slot in its own `__init__`
+    rather than calling a base one, so building a scorer costs one call
+    per turn.
     """
 
-    __slots__ = ("ctx", "agent", "structure", "held", "norm",
-                 "join_loss", "leave_loss", "raw")
+    __slots__ = ("ctx", "agent", "structure", "held", "cost", "raw")
 
-    def total(self) -> float:
-        """The gain over the held labels, normalized."""
-        return self.raw_total() / self.norm
+    def join(self, k: int) -> int:
+        return self._raw_gain(k) - self.cost
 
-    def join(self, k: int) -> float:
-        return self._raw_gain(k) / self.norm - self.join_loss
+    def leave(self, k: int) -> int:
+        return self.cost - self._raw_gain(k)
 
-    def leave(self, k: int) -> float:
-        return -(self._raw_gain(k) / self.norm) - self.leave_loss
+    def as_utility(self, units: int) -> float:
+        """`units` of this gain as a utility: a label costs `cost` units
+        and 1/m of utility."""
+        return units / (self.cost * self.ctx.m)
 
 
 class _SimilarityScorer(_Scorer):
@@ -294,13 +309,9 @@ class _SimilarityScorer(_Scorer):
         if held is None:
             held = structure.memberships.get(agent, frozenset())
         self.held = held
-        n_labels = len(held)
-        self.norm = m = ctx.m
-        self.join_loss = (n_labels + 1) / m - n_labels / m
-        self.leave_loss = (n_labels - 1) / m - n_labels / m
-        # cnt[j]: how many held communities contain co-member j, keyed in
-        # first-seen order over ascending labels and members
-        labels = sorted(held)
+        self.cost = ctx.fourmn
+        # cnt[j]: how many held communities contain co-member j
+        labels = [*held]
         communities = structure.communities
         self.cnt = cnt = dict.fromkeys(communities[labels[0]], 1) if labels else {}
         for k in labels[1:]:
@@ -309,34 +320,26 @@ class _SimilarityScorer(_Scorer):
         cnt.pop(agent, None)
         self.row = ctx.kernel_row(agent)
         self.null = ctx.null_row(ctx.d_in[agent])
-        self.raw: dict[int, float] = {}
+        self.raw: dict[int, int] = {}
 
-    def raw_total(self) -> float:
-        """The gain over the held labels before normalization: the kernel
-        summed once over each co-member, in `cnt` order."""
-        # not sum(): its float rounding changed in Python 3.12
-        total = 0.0
+    def raw_total(self) -> int:
+        """The gain over the held labels: the kernel summed once over each
+        co-member."""
         get, null, d_out = self.row.get, self.null, self.ctx.d_out
-        for j in self.cnt:
-            total += get(j, null[d_out[j]])
-        return total
+        return sum([get(j, null[d_out[j]]) for j in self.cnt])
 
-    def _raw_gain(self, k: int) -> float:
+    def _raw_gain(self, k: int) -> int:
         """Kernel sum over the members a join of k would add (covered by no
         held community) or a leave of k would drop (covered by k alone)."""
         raw = self.raw.get(k)
         if raw is None:
-            raw = 0.0
+            raw = 0
             cnt = self.cnt
             get, null, d_out = self.row.get, self.null, self.ctx.d_out
             if k not in self.held:
                 for j in self.structure.communities[k]:
                     if j not in cnt:
                         raw += get(j, null[d_out[j]])
-            elif len(self.held) == 1:
-                # cnt is k's members less the agent, in member order
-                for j in cnt:
-                    raw += get(j, null[d_out[j]])
             else:
                 for j in self.structure.communities[k]:
                     if cnt.get(j) == 1:
@@ -344,7 +347,7 @@ class _SimilarityScorer(_Scorer):
             self.raw[k] = raw
         return raw
 
-    def switch(self, k_out: int, k_in: int) -> float:
+    def switch(self, k_out: int, k_in: int) -> int:
         # k_in's members count as gained when no held community other
         # than k_out covers them
         cnt = self.cnt
@@ -352,27 +355,28 @@ class _SimilarityScorer(_Scorer):
         members = self.structure.communities[k_in]
         if cnt.keys().isdisjoint(members):
             # no held community covers a member: the join walk's sum
-            return (self._raw_gain(k_in) - lost) / self.norm
+            return self._raw_gain(k_in) - lost
         get, null, d_out = self.row.get, self.null, self.ctx.d_out
         memberships = self.structure.memberships
-        gained = 0.0
+        gained = 0
         for j in members:
             covered = cnt.get(j, 0) - (1 if k_out in memberships[j] else 0)
             if covered == 0:
                 gained += get(j, null[d_out[j]])
-        return (gained - lost) / self.norm
+        return gained - lost
 
 
 class _ModularityScorer(_Scorer):
     """The modularity gain: each co-member counted once per shared
-    community, normalized by 2m.
+    community, normalized by 2m.  A raw gain is 2m times the triple sum,
+    an int, so the gain is raw / (4m^2) and a label costs 4m units.
 
     A community's raw gain depends on its members' label counts, never on
     which labels the agent holds, and the loss terms cancel across a
     switch's two legs (the agent's label count does not change).  So a
-    switch is exactly its leave's raw gain taken from its join's, and in
-    exact arithmetic the best switch pairs the best leave with the best
-    join: the one pair the engine scores is a full best response.
+    switch is exactly its leave's raw gain taken from its join's, and the
+    best switch pairs the best leave with the best join: the one pair the
+    engine scores is a full best response.
     """
 
     __slots__ = ()
@@ -384,28 +388,19 @@ class _ModularityScorer(_Scorer):
         if held is None:
             held = structure.memberships.get(agent, frozenset())
         self.held = held
-        n_labels = len(held)
-        m = ctx.m
-        self.norm = ctx.twom
-        self.join_loss = (n_labels + 1) / m - n_labels / m
-        self.leave_loss = (n_labels - 1) / m - n_labels / m
-        self.raw: dict[int, float] = {}
+        self.cost = ctx.fourm
+        self.raw: dict[int, int] = {}
 
-    def raw_total(self) -> float:
-        """The gain over the held labels before normalization: each held
-        community's raw gain, in ascending label order."""
-        # not sum(): its float rounding changed in Python 3.12
-        total = 0.0
-        for k in sorted(self.held):
-            total += self._raw_gain(k)
-        return total
+    def raw_total(self) -> int:
+        """The gain over the held labels: each held community's raw gain."""
+        return sum(map(self._raw_gain, self.held))
 
-    def _raw_gain(self, k: int) -> float:
-        """Each co-member j of k adds A[agent][j]*|labels(j)| minus the
-        degree null model share."""
+    def _raw_gain(self, k: int) -> int:
+        """Each co-member j of k adds 2m * A[agent][j] * |labels(j)| minus
+        the degree null model's d_in[agent] * d_out[j]."""
         raw = self.raw.get(k)
         if raw is None:
-            raw = 0.0
+            raw = 0
             agent, ctx = self.agent, self.ctx
             out = ctx.graph.out_adj[agent]
             memberships = self.structure.memberships
@@ -413,16 +408,14 @@ class _ModularityScorer(_Scorer):
             for j in self.structure.communities[k]:
                 if j == agent:
                     continue
-                null = (d_in_agent * d_out[j]) / twom
                 if j in out:
-                    raw += len(memberships[j]) - null
-                else:
-                    raw -= null
+                    raw += twom * len(memberships[j])
+                raw -= d_in_agent * d_out[j]
             self.raw[k] = raw
         return raw
 
-    def switch(self, k_out: int, k_in: int) -> float:
-        return self._raw_gain(k_in) / self.norm - self._raw_gain(k_out) / self.norm
+    def switch(self, k_out: int, k_in: int) -> int:
+        return self._raw_gain(k_in) - self._raw_gain(k_out)
 
 
 # the one place a gain name selects code
@@ -437,9 +430,10 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
     """Utility change for `agent` if `action` were applied now.
 
     Computed incrementally from the agent's held communities and the
-    action's; agrees with the difference of two full utility evaluations
-    to 1e-12.  For the similarity gain only genuinely new (or exclusively
-    held) co-members move the gain, mirroring its union-of-co-members
+    action's, exactly in the gain's units, and rounded once: the exact
+    difference of two full utility evaluations, correctly rounded.  For
+    the similarity gain only genuinely new (or exclusively held)
+    co-members move the gain, mirroring its union-of-co-members
     definition.  Every member of those communities must be a node of the
     snapshot.
     """
@@ -454,13 +448,15 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
             raise PreconditionError(f"agent {agent} already holds community {k}")
         _check_labels((k,), structure)
         _check_members(ctx.graph, structure, {*held, k})
-        return _SCORERS[gain](ctx, agent, structure).join(k)
+        score = _SCORERS[gain](ctx, agent, structure)
+        return score.as_utility(score.join(k))
     if isinstance(action, Leave):
         k = action.community
         if k not in held:
             raise PreconditionError(f"agent {agent} does not hold community {k}")
         _check_members(ctx.graph, structure, held)
-        return _SCORERS[gain](ctx, agent, structure).leave(k)
+        score = _SCORERS[gain](ctx, agent, structure)
+        return score.as_utility(score.leave(k))
     if isinstance(action, Switch):
         k_out, k_in = action.out_community, action.in_community
         if k_out == k_in:
@@ -471,5 +467,6 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
             raise PreconditionError(f"agent {agent} already holds community {k_in}")
         _check_labels((k_in,), structure)
         _check_members(ctx.graph, structure, {*held, k_in})
-        return _SCORERS[gain](ctx, agent, structure).switch(k_out, k_in)
+        score = _SCORERS[gain](ctx, agent, structure)
+        return score.as_utility(score.switch(k_out, k_in))
     raise PreconditionError(f"unknown action {action!r}")

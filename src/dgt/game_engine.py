@@ -67,10 +67,8 @@ class CommunityStructure:
     Ids are never reused: every new community draws from `next_id`, which
     only grows, including across snapshots when structures are carried
     forward.  Empty communities are removed as soon as their last member
-    leaves.  `communities` maps each id to its ascending member list, so
-    utility sums run in a canonical order: communities with equal member
-    sets then give bitwise-equal contributions and tie-breaks stay
-    meaningful.  Membership tests go through `memberships`.
+    leaves.  `communities` maps each id to its ascending member list;
+    membership tests go through `memberships`.
     """
 
     __slots__ = ("communities", "memberships", "next_id")
@@ -242,12 +240,12 @@ def _candidate_communities(ctx: GainContext, agent: int, structure: CommunityStr
 
 
 def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
-                   config: GameConfig) -> tuple[Action, float, int]:
-    """Returns (action, delta, candidates_considered); NoOp when no action
-    has a strictly positive utility change.  The one switch scored moves
-    from the best leave k_out to the best join k_in.  Equal deltas prefer
-    switch, then join, then leave, and among equal joins or leaves the
-    lowest community id.
+                   config: GameConfig) -> tuple[Action, int, int]:
+    """Returns (action, delta, candidates_considered), the delta an int in
+    the gain's units; NoOp when no action has a strictly positive utility
+    change.  The one switch scored moves from the best leave k_out to the
+    best join k_in.  Equal deltas prefer switch, then join, then leave,
+    and among equal joins or leaves the lowest community id.
 
     The scans are loops, not max(key=...): under CPython 3.11 a key called
     from C made the carryover-n400 bench game 4-10% slower (2-CPU VM)."""
@@ -267,7 +265,7 @@ def _best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
             k_out, d_out = k, delta
 
     # each strict `>` keeps the earlier kind on a tie: switch, join, leave
-    best, action = 0.0, NOOP
+    best, action = 0, NOOP
     if k_in is not None:
         if k_out is not None:
             delta = score.switch(k_out, k_in)
@@ -294,17 +292,14 @@ def best_response(ctx: GainContext, agent: int, structure: CommunityStructure,
 
 
 def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) -> float:
-    """Total utility over `agents`: the total gain minus the total loss,
-    each summed in agent order."""
-    total_gain = 0.0
-    total_loss = 0.0
-    m = ctx.m
+    """Total utility over the non-empty `agents`: the total gain minus the
+    total loss, summed exactly and rounded once."""
+    total = 0
     scorer = _SCORERS[gain]
     for agent in agents:
         score = scorer(ctx, agent, structure)
-        total_gain += score.total()
-        total_loss += len(score.held) / m
-    return total_gain - total_loss
+        total += score.raw_total() - len(score.held) * score.cost
+    return score.as_utility(total)
 
 
 def is_local_equilibrium(ctx: GainContext, structure: CommunityStructure,
@@ -388,7 +383,7 @@ def run_snapshot(graph: SnapshotGraph, initial: CommunityStructure, config: Game
                 max_candidates = considered
             if isinstance(action, NoOp):
                 continue
-            if delta <= 0.0:
+            if delta <= 0:
                 raise AuditError(
                     f"non-improving action {action!r} selected for agent {agent}"
                 )

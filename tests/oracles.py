@@ -2,8 +2,11 @@
 
 Everything here is written directly from the defining formulas with plain
 loops and set algebra, deliberately sharing no code with the library's
-computation paths (only the graph container is reused for adjacency
-access).  The snapshot builder, edge-list parser and loader oracles are
+computation paths (only the graph container and the move types are
+reused).  The kernel, gain, utility and best-response oracles compute in
+exact `Fraction` arithmetic, so the engine's integer scores can be checked
+with `==` and its floats against the correctly rounded `float()` of the
+exact value.  The snapshot builder, edge-list parser and loader oracles are
 the earlier two-pass implementations, kept as the reference for the
 one-pass code.
 """
@@ -12,66 +15,68 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
 from dgt.errors import FormatError, PreconditionError
+from dgt.gain_functions import Join, Leave, NoOp, Switch
 from dgt.snapshot_graph import ChangeStats, SnapshotGraph, SnapshotSequence
 
 
-def similarity_oracle(g: SnapshotGraph, i: int, j: int) -> float:
-    """Four-branch kernel evaluated straight from adjacency sets."""
+def similarity_oracle(g: SnapshotGraph, i: int, j: int) -> Fraction:
+    """Four-branch kernel evaluated straight from adjacency sets, exactly."""
     w = len(set(g.out_adj[i]) & set(g.out_adj[j]))
     adjacent = j in set(g.out_adj[i])
     dd = len(g.in_adj[i]) * len(g.out_adj[j])
     if adjacent and w >= 1:
-        return w * (1.0 - dd / (2.0 * g.m))
+        return w * (1 - Fraction(dd, 2 * g.m))
     if not adjacent and w >= 1:
-        return w / g.n
+        return Fraction(w, g.n)
     if adjacent:
-        return dd / (4.0 * g.m)
-    return -dd / (4.0 * g.m)
+        return Fraction(dd, 4 * g.m)
+    return -Fraction(dd, 4 * g.m)
 
 
-def gain_similarity_oracle(g: SnapshotGraph, communities: dict, agent: int, labels) -> float:
+def gain_similarity_oracle(g: SnapshotGraph, communities: dict, agent: int, labels) -> Fraction:
     """Union-of-co-members similarity gain."""
     co_members = set()
     for k in labels:
         co_members |= set(communities[k])
     co_members.discard(agent)
-    return sum(similarity_oracle(g, agent, j) for j in sorted(co_members)) / g.m
+    return sum((similarity_oracle(g, agent, j) for j in co_members), Fraction(0)) / g.m
 
 
 def gain_modularity_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
-                           agent: int, labels) -> float:
+                           agent: int, labels) -> Fraction:
     """Literal triple sum: over held labels k, co-members j of k, and j's
     labels k'; delta(i,j) is the shared-community indicator and the null
     term counts only when k' == k."""
     m = g.m
     out_i = set(g.out_adj[agent])
-    total = 0.0
+    total = Fraction(0)
     for k in labels:
         for j in communities[k]:
             if j == agent:
                 continue
-            a_ij = 1.0 if j in out_i else 0.0
-            delta_ij = 1.0 if set(memberships[agent]) & set(memberships[j]) else 0.0
-            null = (len(g.in_adj[agent]) * len(g.out_adj[j])) / (2.0 * m)
+            a_ij = 1 if j in out_i else 0
+            delta_ij = 1 if set(memberships[agent]) & set(memberships[j]) else 0
+            null = Fraction(len(g.in_adj[agent]) * len(g.out_adj[j]), 2 * m)
             for k_prime in memberships[j]:
-                total += a_ij * delta_ij - null * (1.0 if k_prime == k else 0.0)
-    return total / (2.0 * m)
+                total += a_ij * delta_ij - null * (1 if k_prime == k else 0)
+    return total / (2 * m)
 
 
 def utility_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
-                   agent: int, labels, gain: str) -> float:
+                   agent: int, labels, gain: str) -> Fraction:
     if gain == "similarity":
         benefit = gain_similarity_oracle(g, communities, agent, labels)
     else:
         benefit = gain_modularity_oracle(g, communities, memberships, agent, labels)
-    return benefit - len(labels) / g.m
+    return benefit - Fraction(len(labels), g.m)
 
 
-def potential_oracle(g: SnapshotGraph, communities: dict, memberships: dict) -> float:
+def potential_oracle(g: SnapshotGraph, communities: dict, memberships: dict) -> Fraction:
     """Phi* = (1/2) * (total similarity gain) - (total loss) over all agents.
 
     A move by agent i changes co-membership only for pairs that contain i,
@@ -82,104 +87,89 @@ def potential_oracle(g: SnapshotGraph, communities: dict, memberships: dict) -> 
     it is not a potential.
     """
     labels = {v: memberships.get(v, ()) for v in g.nodes}
-    gain = sum(gain_similarity_oracle(g, communities, v, labels[v]) for v in g.nodes)
-    loss = sum(len(ks) for ks in labels.values()) / g.m
-    return gain / 2.0 - loss
+    gain = sum((gain_similarity_oracle(g, communities, v, labels[v]) for v in g.nodes),
+               Fraction(0))
+    loss = Fraction(sum(len(ks) for ks in labels.values()), g.m)
+    return gain / 2 - loss
 
 
 def contribution_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
-                        agent: int, k: int, gain: str) -> float:
+                        agent: int, k: int, gain: str) -> Fraction:
     """Raw gain of community k taken alone, not divided by m or 2m.
 
     Similarity: the kernel summed over k's co-members.  Modularity: the
     triple sum restricted to k, whose sum over a co-member's labels is
-    A[agent][j]*delta(agent,j)*|labels(j)| minus one null term.  Co-members
-    are added in ascending order, left to right, so that values equal in
-    the library are equal here too and a tie can be tested with `==`.
+    A[agent][j]*delta(agent,j)*|labels(j)| minus one null term.
     """
     m = g.m
     out_i = set(g.out_adj[agent])
-    total = 0.0
-    for j in sorted(communities[k]):
+    total = Fraction(0)
+    for j in communities[k]:
         if j == agent:
             continue
         if gain == "similarity":
             total += similarity_oracle(g, agent, j)
         else:
-            a_ij = 1.0 if j in out_i else 0.0
-            delta_ij = 1.0 if set(memberships[agent]) & set(memberships[j]) else 0.0
-            null = (len(g.in_adj[agent]) * len(g.out_adj[j])) / (2.0 * m)
+            a_ij = 1 if j in out_i else 0
+            delta_ij = 1 if set(memberships[agent]) & set(memberships[j]) else 0
+            null = Fraction(len(g.in_adj[agent]) * len(g.out_adj[j]), 2 * m)
             total += a_ij * delta_ij * len(memberships[j]) - null
     return total
 
 
-class SimilarityWalksOracle:
-    """The similarity move scorer's member walks as plain loops that compute
-    each null-model value inline, -(d_in[agent] * d_out[j]) / (4m), for a
-    pair the sparse kernel row lacks, and walk k_in for every switch.
+def delta_oracle(g: SnapshotGraph, communities: dict, memberships: dict, agent: int,
+                 gain: str, leave=None, join=None) -> Fraction:
+    """Exact utility change of `agent` leaving community `leave` and/or
+    joining `join`: two full utility evaluations, before and after."""
+    after_c = {k: set(vs) for k, vs in communities.items()}
+    after_m = {v: set(ks) for v, ks in memberships.items()}
+    after_m.setdefault(agent, set())
+    if leave is not None:
+        after_c[leave].discard(agent)
+        after_m[agent].discard(leave)
+    if join is not None:
+        after_c[join].add(agent)
+        after_m[agent].add(join)
+    held = memberships.get(agent, set())
+    return (utility_oracle(g, after_c, after_m, agent, after_m[agent], gain)
+            - utility_oracle(g, communities, memberships, agent, held, gain))
 
-    Kept as the exact reference for `_SimilarityScorer`, the similarity
-    gain's scorer, which reads null values from a per-in-degree table and
-    takes shortcuts for a disjoint switch and a one-label leave: both must
-    add the same floats in the same order, so the results must be equal bit
-    for bit.  Reads the context's sparse
-    kernel rows and degrees, which are checked against `similarity_oracle`
-    on their own.
+
+def best_response_oracle(g: SnapshotGraph, communities: dict, memberships: dict,
+                         agent: int, gain: str):
+    """The game's best response in exact arithmetic: (action, delta).
+
+    The action set is the engine's: every join of a community hosting one
+    of the agent's in- or out-neighbours, every leave, and the one switch
+    from the best leave to the best join, each of those the lowest id
+    among equal deltas.  The highest strictly positive delta wins, switch
+    before join before leave on equal deltas; NoOp with delta 0 when none
+    is positive.
     """
+    held = set(memberships.get(agent, ()))
+    hosts = set()
+    for v in set(g.out_adj[agent]) | set(g.in_adj[agent]):
+        hosts |= set(memberships.get(v, ()))
 
-    def __init__(self, ctx, agent: int, structure):
-        self.ctx = ctx
-        self.agent = agent
-        self.communities = structure.communities
-        self.memberships = structure.memberships
-        self.held = structure.memberships.get(agent, frozenset())
-        # coverage counts in first-seen order over ascending labels and members
-        self.cnt: dict[int, int] = {}
-        for k in sorted(self.held):
-            for j in self.communities[k]:
-                self.cnt[j] = self.cnt.get(j, 0) + 1
-        self.cnt.pop(agent, None)
+    def delta(**move):
+        return delta_oracle(g, communities, memberships, agent, gain, **move)
 
-    def kernel(self, j: int) -> float:
-        ctx = self.ctx
-        c = ctx.kernel_row(self.agent).get(j)
-        return c if c is not None else -(ctx.d_in[self.agent] * ctx.d_out[j]) / ctx.fourm
-
-    def raw_total(self) -> float:
-        total = 0.0
-        for j in self.cnt:
-            total += self.kernel(j)
-        return total
-
-    def raw_join(self, k: int) -> float:
-        raw = 0.0
-        for j in self.communities[k]:
-            if j not in self.cnt:
-                raw += self.kernel(j)
-        return raw
-
-    def raw_leave(self, k: int) -> float:
-        raw = 0.0
-        for j in self.communities[k]:
-            if self.cnt.get(j) == 1:
-                raw += self.kernel(j)
-        return raw
-
-    def join(self, k: int) -> float:
-        m, n = self.ctx.m, len(self.held)
-        return self.raw_join(k) / m - ((n + 1) / m - n / m)
-
-    def leave(self, k: int) -> float:
-        m, n = self.ctx.m, len(self.held)
-        return -(self.raw_leave(k) / m) - ((n - 1) / m - n / m)
-
-    def switch(self, k_out: int, k_in: int) -> float:
-        gained = 0.0
-        for j in self.communities[k_in]:
-            covered = self.cnt.get(j, 0) - (1 if k_out in self.memberships[j] else 0)
-            if covered == 0:
-                gained += self.kernel(j)
-        return (gained - self.raw_leave(k_out)) / self.ctx.m
+    joins = {k: delta(join=k) for k in hosts - held}
+    leaves = {k: delta(leave=k) for k in held}
+    k_in = max(joins, key=lambda k: (joins[k], -k), default=None)
+    k_out = max(leaves, key=lambda k: (leaves[k], -k), default=None)
+    moves = []  # in the order that wins a tie
+    if k_in is not None and k_out is not None:
+        moves.append((delta(leave=k_out, join=k_in), Switch(k_out, k_in)))
+    if k_in is not None:
+        moves.append((joins[k_in], Join(k_in)))
+    if k_out is not None:
+        moves.append((leaves[k_out], Leave(k_out)))
+    best, action = Fraction(0), NoOp()
+    for value, move in moves:
+        if value > best:
+            best, action = value, move
+    return action, best
 
 
 def modularity_directed_oracle(g: SnapshotGraph, p: dict) -> float:

@@ -9,6 +9,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -410,10 +411,10 @@ GOLDEN_DIGESTS = {
         "communities_t1_rep1.csv": "eb30c6a450a329b2da5728a55c47e715dd62aebff82b7aeb9cbd883fe8f3ae29",
         "communities_t2_rep0.csv": "435d1e826cc048cf19f02b1c945e96ab33d8f4538568c6bc8e86a646738357aa",
         "communities_t2_rep1.csv": "db4f9cb5a467322341ca45d1136b02533a0ef18b96d12d9b6c40c07000aa04f7",
-        "diagnostics_t0_rep0.csv": "870d2910bdfeb26aaed26158f5139899996a7dad6c99bb0f7da0e4f3afd6bcf5",
-        "diagnostics_t0_rep1.csv": "94eaf83887abd6acd1456593502a2cba6904e367c0058acf0dc7ff84cdfbb599",
-        "diagnostics_t1_rep0.csv": "b977bca3730ad81ab2cd6a37d345ca739a5ed41e1d56da757e77b9d0317b6be3",
-        "diagnostics_t1_rep1.csv": "dc7d207259531ca7a0ef4388a2b93439bcc33296104ffd93f03673bd44b2d84a",
+        "diagnostics_t0_rep0.csv": "2904f29bfece13c3f46f3d3a7c519bf20b96a4a2aaf1c8851c328bc3b205c884",
+        "diagnostics_t0_rep1.csv": "f05b0f5ca18906c87bae9b8fb97cb0c2e0c12dc145f0031ed466f326e6091ee3",
+        "diagnostics_t1_rep0.csv": "2a2b2231ee2679e8e2008e3b45fa5bce82b44fa8fd104f33ba2195250ca368bc",
+        "diagnostics_t1_rep1.csv": "91d073c81cb237608bae42363721738e8fb595b4e965821ebd5fdc93d5faf38e",
         "diagnostics_t2_rep0.csv": "e00f5a2029fb7530bff1ad2f7755c0d290ddc602cbf507af7d065d84299f89d8",
         "diagnostics_t2_rep1.csv": "1412a112edae95d9b3a7bd8542765b8c5d11db81f6ddebf203065f786ee3c84f",
         "metrics.csv": "e01391b094d1fe306913342a79b86f071e57dc833dc8ba133f4c9207dcb10385",
@@ -572,15 +573,15 @@ class TestRunMemory:
               "with open('/proc/self/status') as fh:\n"
               "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n")
 
-    def peak_rss_mb(self, tmp_path, snapshots):
-        seq, _ = generate(SynthConfig(communities=40, community_size=25, p_in=0.3,
-                                      p_out=0.005, churn=0.1, num_snapshots=snapshots,
-                                      rng_seed=3))
-        edges = tmp_path / f"edges{snapshots}.txt"
-        write_edge_list(seq, edges)
+    # sha256 of the edge list of `generate` at num_snapshots=3, which draws
+    # the first 3 snapshots of the 9-snapshot input: the test writes those
+    # rather than generate them again
+    PREFIX_SHA256 = "9da3aa8b0e79b7acbcb539bfaa63d59cc3ed1835fdb8a558274316fc864486cf"
+
+    def peak_rss_mb(self, tmp_path, edges):
         out = run_fresh(self.SCRIPT, "run", "--input", str(edges),
                         "--variant", "dgtp", "--max-passes", "1", "--repetitions", "2",
-                        "--out", str(tmp_path / f"out{snapshots}"))
+                        "--out", str(tmp_path / f"out-{edges.stem}"))
         return int(out) / 1024
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
@@ -588,7 +589,14 @@ class TestRunMemory:
         # n = 1000, about 12 000 edges a snapshot.  Measured: 9 snapshots
         # peak 3.2 MB above 3 (48.0 MB); with every snapshot's kernel rows
         # kept until the run ends, 52.3 MB above (63.3 MB)
-        grown = self.peak_rss_mb(tmp_path, 9) - self.peak_rss_mb(tmp_path, 3)
+        seq, _ = generate(SynthConfig(communities=40, community_size=25, p_in=0.3,
+                                      p_out=0.005, churn=0.1, num_snapshots=9, rng_seed=3))
+        edges9, edges3 = tmp_path / "edges9.txt", tmp_path / "edges3.txt"
+        write_edge_list(seq, edges9)
+        write_edge_list(replace(seq, snapshots=seq.snapshots[:3], ordinals=seq.ordinals[:3]),
+                        edges3)
+        assert hashlib.sha256(edges3.read_bytes()).hexdigest() == self.PREFIX_SHA256
+        grown = self.peak_rss_mb(tmp_path, edges9) - self.peak_rss_mb(tmp_path, edges3)
         assert grown < 16.0
 
 

@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestSimilarityKernel:
             for i in order:
                 for j in order:
                     if i != j:
-                        assert similarity(ctx, i, j) == similarity_oracle(g, i, j)
+                        assert similarity(ctx, i, j) == float(similarity_oracle(g, i, j))
 
     def test_branch_totality(self):
         # every (A, w) combination hits exactly one branch
@@ -127,7 +128,7 @@ class TestSimilarityKernel:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
-        assert similarity(ctx, 0, 6) == similarity_oracle(g, 0, 6)
+        assert similarity(ctx, 0, 6) == float(similarity_oracle(g, 0, 6))
 
     def test_contexts_hold_only_sparse_rows_after_a_repetition(self, monkeypatch):
         # three snapshots of 12 planted 20-node communities, 9 081 edges in
@@ -167,21 +168,21 @@ class TestSimilarityKernel:
 
     def test_edge_values_are_shared_by_the_integers_that_fix_them(self):
         # an edge's kernel value depends only on w and d_in[i] * d_out[j],
-        # so all rows hold one float per such pair, not one per edge.  A
-        # table entry costs about six edge floats, so on a sparse graph,
+        # so all rows hold one int per such pair, not one per edge.  A
+        # table entry costs about six edge values, so on a sparse graph,
         # where few edges have a pair of their own, the table must save
         seq, _ = generate(SynthConfig(communities=8, community_size=100, p_in=0.05,
                                       p_out=0.002, churn=0.1, num_snapshots=1, rng_seed=4))
         g = seq.snapshots[0]
         ctx = GainContext(g)
-        pairs, floats = set(), set()
+        pairs, values = set(), set()
         for i in g.nodes:
             row = ctx.kernel_row(i)
             for j in g.out_adj[i]:
-                assert row[j].hex() == similarity_oracle(g, i, j).hex()
+                assert Fraction(row[j], 4 * g.m * g.n) == similarity_oracle(g, i, j)
                 pairs.add((common_neighbors(g, i, j), len(g.in_adj[i]) * len(g.out_adj[j])))
-                floats.add(id(row[j]))
-        assert len(floats) <= len(pairs) < g.m / 6
+                values.add(id(row[j]))
+        assert len(values) <= len(pairs) < g.m / 6
 
 
 class TestGainSimilarity:
@@ -223,7 +224,7 @@ class TestGainSimilarity:
             agent = int(rng.choice(g.nodes))
             labels = set(st.memberships[agent])
             expected = gain_similarity_oracle(g, st.communities, agent, labels)
-            assert utility(ctx, agent, labels, st).gain == pytest.approx(expected, abs=1e-12)
+            assert utility(ctx, agent, labels, st).gain == float(expected)
 
     def test_additive_over_member_disjoint_labels(self):
         rng = np.random.default_rng(11)
@@ -281,10 +282,8 @@ class TestGainModularity:
         st, ids = structure_over(g, [0, 1])
         ctx = GainContext(g)
         u = utility(ctx, 0, {ids[0]}, st, "modularity")
-        assert u.gain == pytest.approx(3.0 / 16.0, abs=1e-15)
-        assert gain_modularity_oracle(g, st.communities, st.memberships, 0, {ids[0]}) == pytest.approx(
-            3.0 / 16.0, abs=1e-15
-        )
+        assert u.gain == 3.0 / 16.0
+        assert gain_modularity_oracle(g, st.communities, st.memberships, 0, {ids[0]}) == Fraction(3, 16)
 
     def test_matches_triple_sum_oracle(self):
         rng = np.random.default_rng(13)
@@ -296,7 +295,7 @@ class TestGainModularity:
             labels = set(st.memberships[agent])
             expected = gain_modularity_oracle(g, st.communities, st.memberships, agent, labels)
             u = utility(ctx, agent, labels, st, "modularity")
-            assert u.gain == pytest.approx(expected, abs=1e-12)
+            assert u.gain == float(expected)
 
 
 class TestLoss:

@@ -14,6 +14,7 @@ from dgt.game_engine import (
     Leave,
     NoOp,
     Switch,
+    _hard_assignment,
     best_response,
     is_local_equilibrium,
     run_snapshot,
@@ -250,10 +251,47 @@ class TestBestResponse:
             if best_delta <= 0.0:
                 assert action == NoOp()
             else:
-                assert utility_delta(ctx, agent, action, st, gain) == pytest.approx(
-                    best_delta, abs=1e-15
-                )
+                # each delta is its exact value rounded once, and rounding
+                # keeps order, so the best exact delta is the best float
+                assert utility_delta(ctx, agent, action, st, gain) == best_delta
             checked += 1
+
+
+class TestExactTies:
+    """Two communities whose raw gains are exactly equal, 14/13 each, though
+    a float walk over their members would not find them equal: agent 0's
+    kernel values are w/13 for co-members 9 and 10 (7 and 7 common
+    out-neighbours) and 11 and 12 (6 and 8), and 7/13 + 7/13 rounds below
+    6/13 + 8/13.  Both choices must go to the lower id."""
+
+    @pytest.fixture
+    def graph(self):
+        edges = [(0, t) for t in range(1, 9)]
+        for v, targets in {9: range(1, 8), 10: range(2, 9), 11: range(1, 7),
+                           12: range(1, 9)}.items():
+            edges += [(v, t) for t in targets] + [(v, 0)]
+        return SnapshotGraph.from_edges(edges)
+
+    def structure(self, graph, *communities):
+        st = CommunityStructure()
+        for v in graph.nodes:
+            st.add_agent(v)
+        return st, [st.create_community(members) for members in communities]
+
+    def test_float_walks_would_not_tie(self):
+        assert 7 / 13 + 7 / 13 < 6 / 13 + 8 / 13
+
+    def test_equal_joins_go_to_the_lowest_id(self, graph):
+        st, (low, high) = self.structure(graph, [9, 10], [11, 12])
+        ctx = GainContext(graph)
+        delta = utility_delta(ctx, 0, Join(low), st)
+        assert delta > 0 and delta == utility_delta(ctx, 0, Join(high), st)
+        assert best_response(ctx, 0, st, GameConfig()) == Join(low)
+
+    def test_equal_contributions_go_to_the_lowest_id(self, graph):
+        st, (low, high) = self.structure(graph, [0, 9, 10], [0, 11, 12])
+        assert st.memberships[0] == {low, high}
+        assert _hard_assignment(GainContext(graph), st, "similarity")[0] == low
 
 
 class TestRunSnapshot:

@@ -2,6 +2,7 @@
 edge-list files."""
 
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgt import cli
+from dgt import cli, game_engine
 from dgt.errors import FormatError
 from dgt.gain_functions import GainContext, _SimilarityScorer, similarity, utility_delta
 from dgt.game_engine import (
@@ -34,8 +35,9 @@ from dgt.snapshot_graph import (
 )
 
 from oracles import (
-    SimilarityWalksOracle,
+    best_response_oracle,
     contribution_oracle,
+    delta_oracle,
     diff_oracle,
     edge_set,
     from_edges_oracle,
@@ -84,15 +86,28 @@ def graph_and_structure(draw, graphs=digraphs()):
     return g, structure
 
 
+def unit(g: SnapshotGraph, gain: str) -> int:
+    """Utility units per 1 of utility: 4m^2n for similarity, 4m^2 for
+    modularity (one label, 1/m of utility, costs 4mn or 4m units)."""
+    return 4 * g.m * g.m * (g.n if gain == "similarity" else 1)
+
+
 @PROPERTY_SETTINGS
 @given(digraphs())
 def test_kernel_rows_equal_oracle(g):
-    # repr: a zero null-model term must read 0.0, as in the oracle, not -0.0
+    # a kernel value is an int in units of 1/(4mn); similarity() rounds it
+    # once, so it is the correctly rounded float of the exact value (repr:
+    # a zero null-model term must read 0.0, not -0.0)
     ctx = GainContext(g)
     for i in g.nodes:
+        row, null = ctx.kernel_row(i), ctx.null_row(len(g.in_adj[i]))
         for j in g.nodes:
             if i != j:
-                assert repr(similarity(ctx, i, j)) == repr(similarity_oracle(g, i, j))
+                exact = similarity_oracle(g, i, j)
+                value = row.get(j, null[len(g.out_adj[j])])
+                assert type(value) is int
+                assert Fraction(value, 4 * g.m * g.n) == exact
+                assert repr(similarity(ctx, i, j)) == repr(float(exact))
 
 
 @PROPERTY_SETTINGS
@@ -105,62 +120,70 @@ def test_null_model_pairs_are_read_but_not_stored(g):
         assert row.keys() == sparse
         for j in g.nodes:
             if j != i and j not in sparse:
-                assert similarity(ctx, i, j) == similarity_oracle(g, i, j)
+                assert similarity(ctx, i, j) == float(similarity_oracle(g, i, j))
         assert len(row) == len(sparse)
 
 
 @PROPERTY_SETTINGS
 @given(digraphs())
 def test_null_rows_equal_the_inline_formula(g):
-    # repr: a zero product must read 0.0, as the inline formula does
+    # -d_in * d_out / (4m), exactly, in units of 1/(4mn)
     ctx = GainContext(g)
     width = max(len(g.out_adj[v]) for v in g.nodes) + 1
     for d in {0, *(len(g.in_adj[v]) for v in g.nodes)}:
         row = ctx.null_row(d)
         assert len(row) == width
-        assert [repr(v) for v in row] == [repr(-(d * k) / ctx.fourm) for k in range(width)]
-        assert repr(row[0]) == "0.0"
-    assert {repr(v) for v in ctx.null_row(0)} == {"0.0"}
+        assert all(type(v) is int for v in row)
+        assert [Fraction(v, 4 * g.m * g.n) for v in row] == [-Fraction(d * k, 4 * g.m)
+                                                            for k in range(width)]
+    assert set(ctx.null_row(0)) == {0}
 
 
-def assert_moves_equal_loop_walks(ctx, agent, structure) -> set[tuple[str, str]]:
+def assert_moves_equal_exact_deltas(ctx, agent, structure) -> set[tuple[str, str]]:
     """Check every similarity move score and the raw total of `agent`
-    against the loop reference, by repr; return the (label count, k_in
-    overlap) cases its switches met."""
-    ref = SimilarityWalksOracle(ctx, agent, structure)
-    held = sorted(ref.held)
-    open_ids = sorted(set(structure.communities) - set(held))
+    against the exact reference, with `==` in units of 1/(4m^2n); return
+    the (label count, k_in overlap) cases its switches met."""
+    g = ctx.graph
+    communities, memberships = structure.communities, structure.memberships
+    held = sorted(memberships[agent])
+    open_ids = sorted(set(communities) - set(held))
     score = _SimilarityScorer(ctx, agent, structure)
-    assert repr(score.raw_total()) == repr(ref.raw_total())
+    co_members = {j for k in held for j in communities[k]} - {agent}
+
+    def exact(**move):
+        return delta_oracle(g, communities, memberships, agent, "similarity", **move)
+
+    per = unit(g, "similarity")
+    assert Fraction(score.raw_total(), per) == sum(
+        (similarity_oracle(g, agent, j) for j in co_members), Fraction(0)) / g.m
     for k in open_ids:
-        assert repr(score.join(k)) == repr(ref.join(k))
+        assert Fraction(score.join(k), per) == exact(join=k)
     for k in held:
-        assert repr(score.leave(k)) == repr(ref.leave(k))
+        assert Fraction(score.leave(k), per) == exact(leave=k)
     labels = "one-label" if len(held) == 1 else "multi-label"
     cases = set()
     for k_out in held:
         for k_in in open_ids:
-            overlap = "disjoint" if ref.cnt.keys().isdisjoint(structure.communities[k_in]) \
-                else "overlapping"
+            overlap = "disjoint" if co_members.isdisjoint(communities[k_in]) else "overlapping"
             cases.add((labels, overlap))
-            expected = repr(ref.switch(k_out, k_in))
+            expected = exact(leave=k_out, join=k_in)
             # once after both legs were walked, once on a fresh scorer
-            assert repr(score.switch(k_out, k_in)) == expected
+            assert Fraction(score.switch(k_out, k_in), per) == expected
             fresh = _SimilarityScorer(ctx, agent, structure)
-            assert repr(fresh.switch(k_out, k_in)) == expected
+            assert Fraction(fresh.switch(k_out, k_in), per) == expected
     return cases
 
 
 @PROPERTY_SETTINGS
 @given(graph_and_structure())
-def test_move_scores_equal_the_loop_walks(case):
+def test_move_scores_equal_the_exact_deltas(case):
     g, structure = case
     ctx = GainContext(g)
     for agent in g.nodes:
-        assert_moves_equal_loop_walks(ctx, agent, structure)
+        assert_moves_equal_exact_deltas(ctx, agent, structure)
 
 
-def test_loop_walk_comparison_meets_every_switch_case():
+def test_exact_delta_comparison_meets_every_switch_case():
     rng = np.random.default_rng(16)
     cases = set()
     for _ in range(30):
@@ -168,7 +191,7 @@ def test_loop_walk_comparison_meets_every_switch_case():
         structure = random_structure(rng, g)
         ctx = GainContext(g)
         for agent in g.nodes:
-            cases |= assert_moves_equal_loop_walks(ctx, agent, structure)
+            cases |= assert_moves_equal_exact_deltas(ctx, agent, structure)
     assert cases == {(labels, overlap) for labels in ("one-label", "multi-label")
                      for overlap in ("disjoint", "overlapping")}
 
@@ -215,7 +238,7 @@ def test_utility_delta_matches_oracle_difference(gain, data):
         g, structure.communities, structure.memberships, agent,
         structure.memberships[agent], gain,
     )
-    assert delta == pytest.approx(full, abs=1e-12)
+    assert delta == float(full)
 
 
 @PROPERTY_SETTINGS
@@ -233,7 +256,7 @@ def test_symmetric_moves_change_the_potential_by_the_movers_delta(data):
         after = structure.copy()
         after.apply(agent, action)
         change = potential_oracle(g, after.communities, after.memberships) - before
-        assert change == pytest.approx(utility_delta(ctx, agent, action, structure), abs=1e-12)
+        assert utility_delta(ctx, agent, action, structure) == float(change)
 
 
 def co_members(structure, agent) -> set[int]:
@@ -259,7 +282,7 @@ def test_directed_moves_change_the_potential_by_the_delta_and_the_kernel_skew(ca
 
         def skew(js):
             return sum(similarity_oracle(g, j, agent) - similarity_oracle(g, agent, j)
-                       for j in sorted(js))
+                       for j in js)
 
         for action in actions:
             after = structure.copy()
@@ -267,8 +290,7 @@ def test_directed_moves_change_the_potential_by_the_delta_and_the_kernel_skew(ca
             new = co_members(after, agent)
             residual = (skew(new - old) - skew(old - new)) / (2 * g.m)
             change = potential_oracle(g, after.communities, after.memberships) - before
-            assert change - utility_delta(ctx, agent, action, structure) == pytest.approx(
-                residual, abs=1e-12)
+            assert utility_delta(ctx, agent, action, structure) == float(change - residual)
 
 
 @PROPERTY_SETTINGS
@@ -284,8 +306,9 @@ def test_one_switch_pair_is_a_full_best_response_for_modularity(case):
         _, best, _ = _best_response(ctx, agent, structure, config)
         for k_out in sorted(held):
             for k_in in _candidate_communities(ctx, agent, structure, held):
-                switch = utility_delta(ctx, agent, Switch(k_out, k_in), structure, "modularity")
-                assert switch <= best
+                switch = delta_oracle(g, structure.communities, structure.memberships, agent,
+                                      "modularity", leave=k_out, join=k_in)
+                assert switch <= Fraction(best, unit(g, "modularity"))
 
 
 @pytest.mark.parametrize("gain", ["similarity", "modularity"])
@@ -295,28 +318,35 @@ def test_best_response_delta_equals_utility_delta(gain, data):
     g, structure = data.draw(graph_and_structure())
     agent = data.draw(st.sampled_from(g.nodes))
     ctx = GainContext(g)
-    held = sorted(structure.memberships[agent])
-    neighbor_coms = set()
-    for v in set(g.out_adj[agent]) | set(g.in_adj[agent]):
-        neighbor_coms.update(structure.memberships[v])
-    joins = sorted(neighbor_coms - set(held))
-    join_deltas = {k: utility_delta(ctx, agent, Join(k), structure, gain) for k in joins}
-    leave_deltas = {k: utility_delta(ctx, agent, Leave(k), structure, gain) for k in held}
-    scores = [*join_deltas.values(), *leave_deltas.values()]
-    if joins and held:
-        # the one switch the engine scores pairs the best leave with the
-        # best join, each the lowest community id among ties
-        k_in = max(joins, key=lambda k: (join_deltas[k], -k))
-        k_out = max(held, key=lambda k: (leave_deltas[k], -k))
-        scores.append(utility_delta(ctx, agent, Switch(k_out, k_in), structure, gain))
-
+    expected, exact = best_response_oracle(g, structure.communities, structure.memberships,
+                                           agent, gain)
     action, delta, _ = _best_response(ctx, agent, structure, GameConfig(gain=gain))
-    if isinstance(action, NoOp):
-        assert all(score <= 0.0 for score in scores)
-    else:
-        assert delta > 0.0
-        assert delta == max(scores)
-        assert delta == utility_delta(ctx, agent, action, structure, gain)
+    assert action == expected
+    assert type(delta) is int and Fraction(delta, unit(g, gain)) == exact
+    assert utility_delta(ctx, agent, action, structure, gain) == float(exact)
+
+
+@pytest.mark.parametrize("gain", ["similarity", "modularity"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_every_turn_plays_the_exact_best_response(gain, data, seed):
+    g, initial = data.draw(graph_and_structure())
+    real = game_engine._best_response
+    turns = []
+
+    def checked(ctx, agent, structure, config):
+        action, delta, considered = real(ctx, agent, structure, config)
+        expected, exact = best_response_oracle(g, structure.communities,
+                                               structure.memberships, agent, gain)
+        assert action == expected
+        assert Fraction(delta, unit(g, gain)) == exact
+        turns.append(action)
+        return action, delta, considered
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game_engine, "_best_response", checked)
+        run_snapshot(g, initial, GameConfig(gain=gain, rng_seed=seed))
+    assert len(turns) >= g.n
 
 
 @pytest.mark.parametrize("gain", ["similarity", "modularity"])
@@ -349,7 +379,7 @@ def test_utility_trace_matches_the_final_structure(gain, data, seed):
     structure, result = run_snapshot(g, initial, GameConfig(gain=gain, rng_seed=seed))
     total = sum(utility_oracle(g, structure.communities, structure.memberships, agent,
                                structure.memberships[agent], gain) for agent in g.nodes)
-    assert result.utility_trace[-1] == pytest.approx(total, abs=1e-12)
+    assert result.utility_trace[-1] == float(total)
 
 
 @pytest.mark.parametrize("gain", ["similarity", "modularity"])
