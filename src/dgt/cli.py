@@ -165,8 +165,9 @@ def _worker_rep_rows(variant, reps):
 
 
 def _run_all_reps(seq, variants, config, truth, args, out_dir=None):
-    """Yields, for each variant in turn, the `_rep_rows` of every repetition,
-    then warns once if any of the games stopped at the pass cap.
+    """Returns, for each variant in turn, the `_rep_rows` of every
+    repetition, having warned once if any of the games stopped at the pass
+    cap.
 
     With --jobs one process pool serves every variant: its workers get the
     fixed arguments once, a task carries only the variant and one rep, and
@@ -186,18 +187,15 @@ def _run_all_reps(seq, variants, config, truth, args, out_dir=None):
     else:
         pool, play = contextlib.nullcontext(), map
         rep_rows, tasks = partial(_rep_rows, *fixed), [reps]
-    games = capped = 0
     with pool:
-        for variant in variants:
-            per_rep = [rows for task in play(partial(rep_rows, variant), tasks)
-                       for rows in task]
-            for rows in per_rep:
-                games += len(rows)
-                capped += sum(at_cap for _, at_cap, *_ in rows)
-            yield per_rep
+        per_variant = [[rows for task in play(partial(rep_rows, variant), tasks)
+                        for rows in task] for variant in variants]
+    games = [row for per_rep in per_variant for rows in per_rep for row in rows]
+    capped = sum(at_cap for _, at_cap, *_ in games)
     if capped:
         logger.warning("%d of %d game(s) stopped at the pass cap (--max-passes %d) with "
-                       "agents still changing", capped, games, args.max_passes)
+                       "agents still changing", capped, len(games), args.max_passes)
+    return per_variant
 
 
 def _write_diagnostics(path, result) -> None:
@@ -221,7 +219,6 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # unpacking reads the generator to its end, which reports the pass cap
     [per_rep] = _run_all_reps(seq, [variant], config, truth, args, out_dir)
 
     report_rows = []
@@ -258,9 +255,8 @@ def cmd_sweep(args) -> int:
 
     variants = [VariantKind("dgtg", seed_fraction=fraction) for fraction in fractions]
     rows = []
-    # strict: zip reads the generator to its end, which closes the pool
     per_variant = _run_all_reps(seq, variants, config, truth, args)
-    for fraction, per_rep in zip(fractions, per_variant, strict=True):
+    for fraction, per_rep in zip(fractions, per_variant):
         rep_means = [_mean(score for _, _, score, _, _ in rep_rows) for rep_rows in per_rep]
         rep_means = [m for m in rep_means if m is not None]
         mean, std = _mean_std(rep_means) if rep_means else (float("nan"), 0.0)

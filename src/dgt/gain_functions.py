@@ -54,13 +54,14 @@ gain, an agent's total gain and the deltas of its join, leave and switch
 moves.  `_SCORERS` maps each gain name to its scorer and is the one place
 a gain name selects code.  `utility`, the one public scorer of a label
 set, `utility_delta` and the game engine all build their scorer from it.
-The move types live here because `utility_delta` dispatches on them.
+The move types live here beside `legs`, the one reader of a move's
+communities, which both `utility_delta` and `CommunityStructure.apply` use.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 from .errors import EmptyGraphError, PreconditionError
@@ -94,6 +95,20 @@ class NoOp:
 NOOP = NoOp()
 
 Action = Join | Leave | Switch | NoOp
+
+
+def legs(action) -> tuple[int | None, int | None]:
+    """`(k_out, k_in)`: the community the action leaves and the one it
+    joins, None where it has no such leg."""
+    if isinstance(action, Join):
+        return None, action.community
+    if isinstance(action, Leave):
+        return action.community, None
+    if isinstance(action, Switch):
+        return action.out_community, action.in_community
+    if isinstance(action, NoOp):
+        return None, None
+    raise PreconditionError(f"unknown action {action!r}")
 
 
 class GainContext:
@@ -133,6 +148,13 @@ class GainContext:
             self.d_in[v] = len(graph.in_adj[v])
             self.d_out[v] = len(graph.out_adj[v])
         self._rows: dict[int, dict[int, int]] = {}
+        # d_in -> its null_row, each built on first read
+        self._null_rows: dict[int, list[int]] = {}
+        self._max_d_out = max(self.d_out)
+        # _shared_values[w] is 4m * w, the kernel value of a pair with no
+        # edge and w >= 1 common out-neighbours; a row stores this one int
+        # rather than a new one per pair
+        self._shared_values = [self.fourm * w for w in range(self._max_d_out + 1)]
         # (w, d_in[i] * d_out[j]) -> the kernel value of an edge (i, j) with
         # w common out-neighbours: the two integers fix the value, so every
         # row shares one int per pair of them
@@ -157,23 +179,6 @@ class GainContext:
             step = -self.n * d_in
             row = self._null_rows[d_in] = [step * d for d in range(self._max_d_out + 1)]
         return row
-
-    # set on first use rather than in __init__, so building a context costs
-    # no more when no null value is read
-    @cached_property
-    def _null_rows(self) -> dict[int, list[int]]:
-        return {}
-
-    @cached_property
-    def _max_d_out(self) -> int:
-        return max(self.d_out)
-
-    @cached_property
-    def _shared_values(self) -> list[int]:
-        """`_shared_values[w]` is 4m * w, the kernel value of a pair with no
-        edge and w >= 1 common out-neighbours; a row stores this one int
-        rather than a new one per pair."""
-        return [self.fourm * w for w in range(self._max_d_out + 1)]
 
     def _build_row(self, i: int) -> dict[int, int]:
         g = self.graph
@@ -236,6 +241,9 @@ def _check_labels(labels, structure) -> None:
     missing = [k for k in labels if k not in structure.communities]
     if missing:
         raise PreconditionError(f"unknown community ids: {sorted(missing)}")
+    repeated = [k for k, count in Counter(labels).items() if count > 1]
+    if repeated:
+        raise PreconditionError(f"repeated community ids: {sorted(repeated)}")
 
 
 def _check_members(graph: SnapshotGraph, structure, labels) -> None:
@@ -440,33 +448,21 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
     _check_gain(gain)
     _check_agent(ctx, agent)
     held = structure.memberships.get(agent, frozenset())
-    if isinstance(action, NoOp):
+    k_out, k_in = legs(action)
+    if k_out is None and k_in is None:
         return 0.0
-    if isinstance(action, Join):
-        k = action.community
-        if k in held:
-            raise PreconditionError(f"agent {agent} already holds community {k}")
-        _check_labels((k,), structure)
-        _check_members(ctx.graph, structure, {*held, k})
-        score = _SCORERS[gain](ctx, agent, structure)
-        return score.as_utility(score.join(k))
-    if isinstance(action, Leave):
-        k = action.community
-        if k not in held:
-            raise PreconditionError(f"agent {agent} does not hold community {k}")
-        _check_members(ctx.graph, structure, held)
-        score = _SCORERS[gain](ctx, agent, structure)
-        return score.as_utility(score.leave(k))
-    if isinstance(action, Switch):
-        k_out, k_in = action.out_community, action.in_community
-        if k_out == k_in:
-            raise PreconditionError("switch legs must differ")
-        if k_out not in held:
-            raise PreconditionError(f"agent {agent} does not hold community {k_out}")
+    if k_out == k_in:
+        raise PreconditionError("switch legs must differ")
+    if k_out is not None and k_out not in held:
+        raise PreconditionError(f"agent {agent} does not hold community {k_out}")
+    if k_in is not None:
         if k_in in held:
             raise PreconditionError(f"agent {agent} already holds community {k_in}")
         _check_labels((k_in,), structure)
-        _check_members(ctx.graph, structure, {*held, k_in})
-        score = _SCORERS[gain](ctx, agent, structure)
-        return score.as_utility(score.switch(k_out, k_in))
-    raise PreconditionError(f"unknown action {action!r}")
+    _check_members(ctx.graph, structure, held if k_in is None else {*held, k_in})
+    score = _SCORERS[gain](ctx, agent, structure)
+    if k_in is None:
+        return score.as_utility(score.leave(k_out))
+    if k_out is None:
+        return score.as_utility(score.join(k_in))
+    return score.as_utility(score.switch(k_out, k_in))

@@ -12,7 +12,6 @@ single best-gain community.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -29,6 +28,7 @@ from .gain_functions import (
     _check_agent,
     _check_members,
     _SCORERS,
+    legs,
 )
 from .rng import PCG64
 from .snapshot_graph import SnapshotGraph
@@ -67,8 +67,9 @@ class CommunityStructure:
     Ids are never reused: every new community draws from `next_id`, which
     only grows, including across snapshots when structures are carried
     forward.  Empty communities are removed as soon as their last member
-    leaves.  `communities` maps each id to its ascending member list;
-    membership tests go through `memberships`.
+    leaves.  `communities` maps each id to its member list, in no
+    particular order: every score is an exact integer sum, so no decision
+    depends on it.  Membership tests go through `memberships`.
     """
 
     __slots__ = ("communities", "memberships", "next_id")
@@ -88,13 +89,11 @@ class CommunityStructure:
         must be below `next_id` (ids come from earlier allocations)."""
         s = cls(next_id)
         for v, ks in memberships.items():
-            s.memberships[v] = set(ks)
-            for k in ks:
+            s.memberships[v] = labels = set(ks)
+            for k in labels:
                 if k >= next_id:
                     raise PreconditionError(f"label {k} is >= next_id {next_id}")
                 s.communities.setdefault(k, []).append(v)
-        for members in s.communities.values():
-            members.sort()
         return s
 
     def fill_singletons(self, nodes) -> "CommunityStructure":
@@ -109,19 +108,18 @@ class CommunityStructure:
         self.memberships.setdefault(agent, set())
 
     def create_community(self, members) -> int:
-        members = sorted(set(members))
+        members = list(set(members))
         if not members:
             raise PreconditionError("a new community needs at least one member")
-        k = self.next_id
-        self.next_id += 1
+        k = self.fresh_id()
         self.communities[k] = members
         for v in members:
             self.memberships.setdefault(v, set()).add(k)
         return k
 
     def fresh_id(self) -> int:
-        """Consume an id without materializing a community (used by the
-        hard assignment for label-less agents)."""
+        """Consume an id: every community id, and every id the hard
+        assignment gives a label-less agent, is drawn here."""
         k = self.next_id
         self.next_id += 1
         return k
@@ -133,7 +131,7 @@ class CommunityStructure:
         labels = self.memberships.setdefault(agent, set())
         if community in labels:
             raise PreconditionError(f"agent {agent} already in community {community}")
-        bisect.insort(members, agent)
+        members.append(agent)
         labels.add(community)
 
     def leave(self, agent: int, community: int) -> None:
@@ -141,23 +139,17 @@ class CommunityStructure:
         labels = self.memberships.get(agent, ())
         if members is None or community not in labels:
             raise PreconditionError(f"agent {agent} not in community {community}")
-        del members[bisect.bisect_left(members, agent)]
+        members.remove(agent)
         labels.discard(community)
         if not members:
             del self.communities[community]
 
     def apply(self, agent: int, action: Action) -> None:
-        if isinstance(action, NoOp):
-            return
-        if isinstance(action, Join):
-            self.join(agent, action.community)
-        elif isinstance(action, Leave):
-            self.leave(agent, action.community)
-        elif isinstance(action, Switch):
-            self.leave(agent, action.out_community)
-            self.join(agent, action.in_community)
-        else:
-            raise PreconditionError(f"unknown action {action!r}")
+        k_out, k_in = legs(action)
+        if k_out is not None:
+            self.leave(agent, k_out)
+        if k_in is not None:
+            self.join(agent, k_in)
 
     def copy(self) -> "CommunityStructure":
         dup = CommunityStructure(self.next_id)
@@ -168,19 +160,19 @@ class CommunityStructure:
     def audit(self) -> list[str]:
         """Consistency report; empty when the structure is sound."""
         problems = []
+        member_sets = {}
         for k, members in self.communities.items():
+            member_sets[k] = member_set = set(members)
             if not members:
                 problems.append(f"community {k} is empty")
-            if any(a >= b for a, b in zip(members, members[1:])):
-                problems.append(f"community {k} member list is not strictly ascending")
-            for v in members:
+            if len(member_set) != len(members):
+                problems.append(f"community {k} lists a member more than once")
+            for v in member_set:
                 if k not in self.memberships.get(v, ()):
                     problems.append(f"agent {v} in community {k} but label missing")
         for v, ks in self.memberships.items():
             for k in ks:
-                members = self.communities.get(k, ())
-                at = bisect.bisect_left(members, v)
-                if at == len(members) or members[at] != v:
+                if v not in member_sets.get(k, ()):
                     problems.append(f"agent {v} holds label {k} but is not a member")
         for k in self.communities:
             if k >= self.next_id:

@@ -151,7 +151,7 @@ class TestSimilarityKernel:
     def test_null_rows_are_built_on_first_read_only(self):
         g = SnapshotGraph.from_edges([(0, 1), (0, 2), (1, 2)])
         ctx = GainContext(g)
-        assert "_null_rows" not in vars(ctx)
+        assert ctx._null_rows == {}
         assert ctx.null_row(1) is ctx.null_row(1)
         assert ctx._null_rows.keys() == {1}
 
@@ -391,6 +391,18 @@ class TestUtility:
         # only the communities scored are checked
         assert utility(ctx, 0, {other}, st, gain).loss == 1 / g.m
 
+    @pytest.mark.parametrize("gain", ["similarity", "modularity"])
+    def test_repeated_ids_rejected(self, gain):
+        g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        st = CommunityStructure.from_singletons(g.nodes)
+        st.join(0, 1)
+        ctx = GainContext(g)
+        assert utility(ctx, 0, [1], st, gain).loss == 1 / g.m
+        with pytest.raises(PreconditionError, match=r"repeated community ids: \[1\]"):
+            utility(ctx, 0, [1, 1], st, gain)
+        with pytest.raises(PreconditionError, match=r"repeated community ids: \[0, 1\]"):
+            utility(ctx, 0, [1, 0, 1, 0], st, gain)
+
 
 class TestUtilityDelta:
     @pytest.mark.parametrize("gain", ["similarity", "modularity"])
@@ -433,6 +445,23 @@ class TestUtilityDelta:
         st, ids = structure_over(g, [0], [1])
         with pytest.raises(PreconditionError):
             utility_delta(GainContext(g), 0, Switch(ids[0], ids[0]), st)
+
+    @pytest.mark.parametrize("action, message", [
+        (Join(0), "agent 0 already holds community 0"),
+        (Leave(1), "agent 0 does not hold community 1"),
+        (Switch(0, 0), "switch legs must differ"),
+        (Switch(1, 2), "agent 0 does not hold community 1"),
+        (Switch(0, 3), "agent 0 already holds community 3"),
+        (Join(99), r"unknown community ids: \[99\]"),
+        (Switch(0, 99), r"unknown community ids: \[99\]"),
+        ("join", "unknown action 'join'"),
+    ])
+    def test_precondition_messages(self, action, message):
+        g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)])
+        st = CommunityStructure.from_singletons(g.nodes)
+        st.join(0, st.create_community([1]))
+        with pytest.raises(PreconditionError, match=message):
+            utility_delta(GainContext(g), 0, action, st)
 
     @pytest.mark.parametrize("gain", ["similarity", "modularity"])
     def test_matches_full_recompute(self, gain):

@@ -77,10 +77,9 @@ class TestCommunityStructure:
     @pytest.mark.parametrize("corrupt, reported", [
         (lambda st: st.memberships[2].add(0), "agent 2 holds label 0 but is not a member"),
         (lambda st: st.communities[0].append(2), "agent 2 in community 0 but label missing"),
-        (lambda st: st.communities[0].reverse(), "not strictly ascending"),
-        (lambda st: st.communities[0].insert(0, 0), "not strictly ascending"),
+        (lambda st: st.communities[0].insert(0, 0), "community 0 lists a member more than once"),
         (lambda st: st.communities[2].clear(), "community 2 is empty"),
-    ], ids=["label_without_member", "member_without_label", "unsorted", "duplicate", "empty"])
+    ], ids=["label_without_member", "member_without_label", "duplicate", "empty"])
     def test_audit_reports_each_corruption(self, corrupt, reported):
         st = CommunityStructure.from_singletons([0, 1, 2])
         st.join(1, 0)
@@ -98,11 +97,11 @@ class TestCommunityStructure:
         with pytest.raises(PreconditionError):
             CommunityStructure.from_memberships({0: {5}}, next_id=3)
 
-    def test_members_sorted(self):
-        st = CommunityStructure.from_singletons([0, 1, 2])
-        st.join(2, 0)
-        st.join(1, 0)
-        assert st.communities[0] == [0, 1, 2]
+    def test_from_memberships_lists_a_repeated_label_once(self):
+        st = CommunityStructure.from_memberships({0: [5, 5], 1: (5,)}, 10)
+        assert st.communities == {5: [0, 1]}
+        assert st.memberships == {0: {5}, 1: {5}}
+        assert st.audit() == []
 
 
 class TestGameConfig:

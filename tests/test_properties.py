@@ -1,6 +1,7 @@
 """Property tests over generated small digraphs, community structures and
 edge-list files."""
 
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -395,6 +396,52 @@ def test_trace_off_plays_the_same_game(gain, data, seed):
     assert plain_structure.memberships == traced_structure.memberships
     for field in ("partition", "passes_used", "changed_trace", "actions_taken", "games_played"):
         assert getattr(plain, field) == getattr(traced, field), field
+
+
+@pytest.mark.parametrize("gain", ["similarity", "modularity"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**16), shuffle_seed=st.integers(0, 2**16))
+def test_member_order_never_matters(gain, data, seed, shuffle_seed):
+    # every score is an exact integer sum, so a game whose member lists are
+    # shuffled at the start and after each applied move plays every turn
+    # alike: the same action with the same delta
+    g, initial = data.draw(graph_and_structure())
+    config = GameConfig(gain=gain, rng_seed=seed)
+    real_best_response, real_apply = game_engine._best_response, CommunityStructure.apply
+    shuffler = random.Random(shuffle_seed)
+
+    def shuffle_members(structure):
+        for members in structure.communities.values():
+            shuffler.shuffle(members)
+
+    def shuffled_apply(structure, agent, action):
+        real_apply(structure, agent, action)
+        shuffle_members(structure)
+
+    def play(shuffled):
+        turns = []
+
+        def recorded(ctx, agent, structure, config):
+            action, delta, considered = real_best_response(ctx, agent, structure, config)
+            turns.append((agent, action, delta))
+            return action, delta, considered
+
+        structure = initial.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game_engine, "_best_response", recorded)
+            if shuffled:
+                shuffle_members(structure)
+                patch.setattr(CommunityStructure, "apply", shuffled_apply)
+            final, result = run_snapshot(g, structure, config, copy=False)
+        return turns, final.memberships, result
+
+    turns, memberships, result = play(shuffled=False)
+    shuffled_turns, shuffled_memberships, shuffled_result = play(shuffled=True)
+    assert all(type(delta) is int for _, _, delta in turns)
+    assert shuffled_turns == turns
+    assert shuffled_memberships == memberships
+    assert shuffled_result.partition == result.partition
+    assert shuffled_result.utility_trace == result.utility_trace
 
 
 def _structure_state(structure):
