@@ -55,7 +55,8 @@ moves.  `_SCORERS` maps each gain name to its scorer and is the one place
 a gain name selects code.  `utility`, the one public scorer of a label
 set, `utility_delta` and the game engine all build their scorer from it.
 The move types live here beside `legs`, the one reader of a move's
-communities, which both `utility_delta` and `CommunityStructure.apply` use.
+communities, and `checked_legs`, the one place the move rules are checked,
+which both `utility_delta` and `CommunityStructure.apply` use.
 """
 
 from __future__ import annotations
@@ -109,6 +110,25 @@ def legs(action) -> tuple[int | None, int | None]:
     if isinstance(action, NoOp):
         return None, None
     raise PreconditionError(f"unknown action {action!r}")
+
+
+def checked_legs(action, agent: int, structure) -> tuple[int | None, int | None]:
+    """`legs(action)` once the move rules hold for `agent`, checked in this
+    order: the legs differ, it holds `k_out`, and `k_in` exists but is not
+    held.  PreconditionError at the first rule broken; nothing changes."""
+    k_out, k_in = legs(action)
+    held = structure.memberships.get(agent, ())
+    if k_out is not None:
+        if k_out == k_in:
+            raise PreconditionError("switch legs must differ")
+        if k_out not in held:
+            raise PreconditionError(f"agent {agent} does not hold community {k_out}")
+    if k_in is not None:
+        if k_in in held:
+            raise PreconditionError(f"agent {agent} already holds community {k_in}")
+        if k_in not in structure.communities:
+            raise PreconditionError(f"unknown community ids: {[k_in]}")
+    return k_out, k_in
 
 
 class GainContext:
@@ -447,18 +467,10 @@ def utility_delta(ctx: GainContext, agent: int, action, structure, gain: str = "
     """
     _check_gain(gain)
     _check_agent(ctx, agent)
-    held = structure.memberships.get(agent, frozenset())
-    k_out, k_in = legs(action)
+    k_out, k_in = checked_legs(action, agent, structure)
     if k_out is None and k_in is None:
         return 0.0
-    if k_out == k_in:
-        raise PreconditionError("switch legs must differ")
-    if k_out is not None and k_out not in held:
-        raise PreconditionError(f"agent {agent} does not hold community {k_out}")
-    if k_in is not None:
-        if k_in in held:
-            raise PreconditionError(f"agent {agent} already holds community {k_in}")
-        _check_labels((k_in,), structure)
+    held = structure.memberships.get(agent, frozenset())
     _check_members(ctx.graph, structure, held if k_in is None else {*held, k_in})
     score = _SCORERS[gain](ctx, agent, structure)
     if k_in is None:

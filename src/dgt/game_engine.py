@@ -28,7 +28,7 @@ from .gain_functions import (
     _check_agent,
     _check_members,
     _SCORERS,
-    legs,
+    checked_legs,
 )
 from .rng import PCG64
 from .snapshot_graph import SnapshotGraph
@@ -145,7 +145,8 @@ class CommunityStructure:
             del self.communities[community]
 
     def apply(self, agent: int, action: Action) -> None:
-        k_out, k_in = legs(action)
+        """Play `action` for `agent`, or raise before any change."""
+        k_out, k_in = checked_legs(action, agent, self)
         if k_out is not None:
             self.leave(agent, k_out)
         if k_in is not None:
@@ -296,8 +297,10 @@ def _totals(ctx: GainContext, agents, structure: CommunityStructure, gain: str) 
 
 def is_local_equilibrium(ctx: GainContext, structure: CommunityStructure,
                          config: GameConfig) -> bool:
-    """True iff no agent has any strictly improving action left.  Every
-    member of a community some node holds must be a node of the snapshot."""
+    """True iff every agent's best response is the no-op.  Like the game,
+    it scores each join and leave but one switch only, best leave to best
+    join, so an improving switch may remain (2 of 250 zero-change C04
+    games).  Every member of a held community must be a snapshot node."""
     get = structure.memberships.get
     _check_members(ctx.graph, structure, set().union(*map(get, ctx.graph.nodes, repeat(()))))
     for agent in ctx.graph.nodes:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, FormatError
 from .game_engine import CommunityStructure
 from .rng import PCG64
-from .snapshot_graph import SnapshotGraph, SnapshotSequence, write_csv
+from .snapshot_graph import SnapshotGraph, SnapshotSequence, _ordinal, _text_file, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
     labels: dict[str, str] = {}
     skipped = 0
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        with _text_file(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -86,12 +86,9 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                 if len(row) < 3:
                     raise FormatError(f"{path}:{lineno}: expected 3 columns")
                 try:
-                    t = int(row[0])
+                    k = snapshot_of.get(_ordinal(row[0]))
                 except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {row[0]!r}") from exc
-                if t < 0:
-                    raise FormatError(f"{path}:{lineno}: negative snapshot ordinal")
-                k = snapshot_of.get(t)
+                    raise FormatError(f"{path}:{lineno}: {exc}") from None
                 if k is None:
                     skipped += 1
                     continue
@@ -106,8 +103,6 @@ def load_ground_truth(path, seq: SnapshotSequence) -> GroundTruth:
                     skipped += 1
                     continue
                 truth.by_snapshot.setdefault(k, {})[node] = labels.setdefault(row[2], row[2])
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text") from exc
     except csv.Error as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if skipped:

@@ -93,22 +93,20 @@ def modularity_directed(g: SnapshotGraph, p: dict) -> float:
 
 def modularity_undirected(g: SnapshotGraph, p: dict) -> float:
     """Standard modularity of the symmetrized graph: each adjacent pair
-    counts as one undirected edge regardless of direction multiplicity."""
-    und: dict[int, set[int]] = {v: set() for v in g.nodes}
-    for v in g.nodes:
-        for j in g.out_adj[v]:
-            und[v].add(j)
-            und[j].add(v)
-    m2 = sum(len(nbrs) for nbrs in und.values())  # 2m
-    if m2 == 0:
+    counts as one undirected edge regardless of direction multiplicity.
+    One node's neighbour set is held at a time."""
+    if g.m == 0:
         raise EmptyGraphError("empty graph")
     _check_cover(g, p)
+    m2 = 0  # 2m
     intra2: Counter = Counter()  # 2 * intra undirected edges
     deg_sum: Counter = Counter()
     for v in g.nodes:
         c = p[v]
-        deg_sum[c] += len(und[v])
-        for j in und[v]:
+        nbrs = set(g.out_adj[v]).union(g.in_adj[v])
+        m2 += len(nbrs)
+        deg_sum[c] += len(nbrs)
+        for j in nbrs:
             if p[j] == c:
                 intra2[c] += 1
     q = 0.0

@@ -156,34 +156,32 @@ def load_edge_stream(records, extra_nodes=None, undirected: bool = False) -> Sna
     `index_t` always form the contiguous range 0..M-1, and `ordinals[k]`
     keeps the input ordinal of snapshot k.
 
-    An ordinal is an integer: a `str` is read with `int()`, any other value
-    must pass `operator.index()` (an int, a bool or a numpy integer; not a
-    float, even an integral one).
-
     `extra_nodes` is an optional iterable of (label, ordinal) declaring
-    nodes that belong to a snapshot even without incident edges; its
-    ordinals are read the same way, and a bad or negative one raises
-    FormatError at once.  With `undirected=True` every record is
+    nodes that belong to a snapshot even without incident edges.  Every
+    ordinal is read by `_ordinal`.  With `undirected=True` every record is
     materialized as two directed edges.
 
-    Raises FormatError at once on a record that is not a (source, target,
-    ordinal) tuple or list of three.  Raises FormatError on empty input,
-    an ordinal that is not an integer (naming the record's position,
-    counted from 1), a negative ordinal, or a snapshot (by its input
-    ordinal) with no edges at all.  These are reported only once the whole
-    stream has been read, in that order, so an error the stream itself
-    raises (a parse error) comes first.
+    FormatError at the first record that is not a (source, target,
+    ordinal) tuple or list or whose ordinal `_ordinal` refuses, naming its
+    position counted from 1; then on empty input, the first faulty
+    `extra_nodes` ordinal, or a snapshot (by input ordinal) with no edges.
     """
     return _load(enumerate(records, 1), None, None, _ordinal, extra_nodes, undirected)
 
 
-def _ordinal(t) -> int:
-    """The snapshot ordinal of a record or an edge-list line; ValueError if
-    it is not an integer."""
+def _ordinal(raw) -> int:
+    """The snapshot number `raw` names, for every reader: a `str` is read
+    with `int()` (`10`, `+10`, `1_0` and `١٠` are one), any other value with
+    `operator.index()` (not a float, even `2.0`).  ValueError, which the
+    caller prefixes with where it read `raw`, if it is not a non-negative
+    integer."""
     try:
-        return int(t) if isinstance(t, str) else operator.index(t)
+        t = int(raw) if isinstance(raw, str) else operator.index(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"bad snapshot ordinal {t!r}") from None
+        raise ValueError(f"bad snapshot ordinal {raw!r}") from None
+    if t < 0:
+        raise ValueError(f"negative snapshot ordinal {t}")
+    return t
 
 
 # stands for "no previous line": equal to nothing a line holds
@@ -195,13 +193,10 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
     """The one loader loop behind `read_edge_list` and `load_edge_stream`.
 
     `rows` yields (position, row).  With a `path`, a row is a line of that
-    file: it is split on whitespace, blank and `#` lines are skipped, a
-    line of fewer than 3 fields raises at once, and the ordinal is field
-    `field`.  Without one, a row is a (source, target, ordinal) record,
-    and any other row raises at once.
-    `ordinal` turns the ordinal into a snapshot number or raises
-    ValueError; the first such error, and then the first negative
-    ordinal, are raised once every row has been read.
+    file: it is split on whitespace, blank and `#` lines are skipped, and
+    the ordinal is field `field` of at least 3.  Without one, a row is a
+    (source, target, ordinal) record.  `ordinal` turns the ordinal into a
+    snapshot number or raises ValueError.  The first faulty row raises.
 
     Consecutive lines mostly share their ordinal text, so `ordinal` runs
     on a line only when that text differs from the previous line's, and
@@ -216,7 +211,6 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
     buckets: dict[int, dict[int, list[int]]] = {}
     prev_raw = prev_t = _UNSET
     self_dropped = wide = 0
-    bad = negative = None
     for lineno, row in rows:
         if text:
             parts = row.split()
@@ -226,25 +220,19 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
                 src, dst, raw = parts
             else:
                 if len(parts) < 3:
-                    raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
+                    raise FormatError(f"{where}{lineno}: expected at least 3 columns")
                 wide += len(parts) > 4
                 src, dst, raw = parts[0], parts[1], parts[field]
         elif isinstance(row, (tuple, list)) and len(row) == 3:
             src, dst, raw = row
         else:
-            raise FormatError(f"record {lineno}: expected a (source, target, ordinal) "
+            raise FormatError(f"{where}{lineno}: expected a (source, target, ordinal) "
                               f"tuple or list, got {row!r}")
         if not text or raw != prev_raw:
             try:
                 t = ordinal(raw)
             except ValueError as exc:
-                if bad is None:
-                    bad = f"{where}{lineno}: {exc}"
-                continue
-            if t < 0:
-                if negative is None:
-                    negative = f"negative snapshot ordinal {t}"
-                continue
+                raise FormatError(f"{where}{lineno}: {exc}") from None
             prev_raw = raw
             if t != prev_t:
                 prev_t = t
@@ -271,10 +259,6 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
                 bucket[j] = [i]
             else:
                 back.append(i)
-    if bad is not None:
-        raise FormatError(bad)
-    if negative is not None:
-        raise FormatError(negative)
     if not buckets:
         raise FormatError("no edges")
 
@@ -284,8 +268,6 @@ def _load(rows, path, field: int | None, ordinal, extra_nodes,
             t = _ordinal(t)
         except ValueError as exc:
             raise FormatError(f"{exc} in node list") from None
-        if t < 0:
-            raise FormatError(f"negative snapshot ordinal {t} in node list")
         declared.setdefault(t, set()).add(label_to_id.setdefault(label, len(label_to_id)))
 
     # every kept row appended 1 (2 if undirected) targets; the snapshots keep the rest
@@ -346,10 +328,10 @@ def diff(prev: SnapshotGraph, next: SnapshotGraph) -> ChangeStats:
 
 @contextmanager
 def _text_file(path):
-    """The open UTF-8 text file, a leading BOM dropped; FormatError if a
-    line read from it is not UTF-8."""
+    """The open UTF-8 text file of every reader, a leading BOM dropped and
+    line ends kept for csv; FormatError if a line is not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
@@ -393,10 +375,9 @@ def _snapshot_field(path, snapshot_by: str):
 
 def _earliest_timestamp(path) -> float:
     """The earliest last-field timestamp of an edge-list file, holding
-    nothing else.  A short line anywhere in the file is reported before any
-    bad timestamp."""
+    nothing else.  FormatError at the first short line or timestamp that
+    is not a finite number."""
     t0 = math.inf
-    bad_stamp = None
     with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -407,15 +388,10 @@ def _earliest_timestamp(path) -> float:
             try:
                 ts = float(parts[-1])
             except ValueError:
-                ts = None
-            if ts is None or not math.isfinite(ts):
-                if bad_stamp is None:
-                    kind = "bad" if ts is None else "non-finite"
-                    bad_stamp = f"{path}:{lineno}: {kind} timestamp {parts[-1]!r}"
-                continue
+                raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from None
+            if not math.isfinite(ts):
+                raise FormatError(f"{path}:{lineno}: non-finite timestamp {parts[-1]!r}")
             t0 = min(t0, ts)
-    if bad_stamp is not None:
-        raise FormatError(bad_stamp)
     return t0
 
 
@@ -424,19 +400,15 @@ def parse_node_file(path):
     entries = []
     with _text_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected `label snapshot`")
             try:
-                t = int(parts[1])
+                entries.append((parts[0], _ordinal(parts[1])))
             except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[1]!r}") from exc
-            if t < 0:
-                raise FormatError(f"{path}:{lineno}: negative snapshot ordinal {t}")
-            entries.append((parts[0], t))
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
     return entries
 
 
@@ -444,21 +416,20 @@ def read_edge_list(path, snapshot_by: str = "column", extra_nodes=None,
                    undirected: bool = False) -> SnapshotSequence:
     """Parse an edge-list file and load it into a SnapshotSequence.
 
-    Each non-comment line is `source target snapshot [timestamp]`.  The
-    snapshot field is read with `int()`, so `10`, `+10`, `1_0` and `١٠`
-    name one snapshot.  With snapshot_by="window:<W>" the last field is
-    read as a timestamp and bucketed into windows of W seconds starting at
-    the earliest timestamp (the snapshot field may then be omitted
-    entirely).  The fields a mode does not read are ignored; the lines of
+    Each non-comment line is `source target snapshot [timestamp]`, its
+    snapshot field read by `_ordinal`.  With snapshot_by="window:<W>" the
+    last field is read as a timestamp and bucketed into windows of W
+    seconds from the earliest (the snapshot field may then be omitted).  The fields a mode does not read are ignored; the lines of
     more than 4 fields are counted in a warning.
 
     Column mode reads the file in one pass, window mode in two (the first
     finds the earliest timestamp).  Each line is split, checked and
     appended to its snapshot's list of its source's targets as it is read,
     so no list of all records is held and the loader's peak stays near the
-    size of the graph it returns.  Errors come in the order of a full parse
-    before any load: a short line where it is found, then the first bad
-    ordinal or timestamp, then the first negative ordinal.
+    size of the graph it returns.  FormatError at the first faulty line,
+    named as `path:line`: a short line, or an ordinal or timestamp that
+    names no snapshot.  A timestamp too far from the earliest for the
+    window width shows only in the second pass, after every other fault.
     """
     field, ordinal = _snapshot_field(path, snapshot_by)
     with _text_file(path) as fh:

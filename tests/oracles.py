@@ -316,8 +316,10 @@ def from_edges_oracle(edges, index_t: int = 0, nodes=()) -> SnapshotGraph:
 
 
 def parse_edge_file_oracle(path, snapshot_by: str = "column"):
-    """The two-pass edge-file parser: every line is split and kept before
-    any snapshot ordinal or timestamp is read."""
+    """The two-pass edge-file parser: every line is split, checked in full
+    and kept as a record before any record is loaded, so the first faulty
+    line raises, named by its position.  In window mode a timestamp too far
+    from the earliest is found once every timestamp has been read."""
     window = None
     if snapshot_by != "column":
         if not snapshot_by.startswith("window:"):
@@ -337,45 +339,45 @@ def parse_edge_file_oracle(path, snapshot_by: str = "column"):
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split()
+                where = f"{path}:{lineno}"
                 if len(parts) < 3:
-                    raise FormatError(f"{path}:{lineno}: expected at least 3 columns")
-                rows.append((lineno, parts))
+                    raise FormatError(f"{where}: expected at least 3 columns")
+                if window is None:
+                    try:
+                        t = int(parts[2])
+                    except ValueError as exc:
+                        raise FormatError(f"{where}: bad snapshot ordinal {parts[2]!r}") from exc
+                    if t < 0:
+                        raise FormatError(f"{where}: negative snapshot ordinal {t}")
+                    rows.append((parts[0], parts[1], t))
+                    continue
+                try:
+                    ts = float(parts[-1])
+                except ValueError as exc:
+                    raise FormatError(f"{where}: bad timestamp {parts[-1]!r}") from exc
+                if not math.isfinite(ts):
+                    raise FormatError(f"{where}: non-finite timestamp {parts[-1]!r}")
+                rows.append((where, parts, ts))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
 
-    if window is not None:
-        stamps = []
-        for lineno, parts in rows:
-            try:
-                ts = float(parts[-1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad timestamp {parts[-1]!r}") from exc
-            if not math.isfinite(ts):
-                raise FormatError(f"{path}:{lineno}: non-finite timestamp {parts[-1]!r}")
-            stamps.append(ts)
-        t0 = min(stamps) if stamps else 0.0
-        records = []
-        for (lineno, parts), ts in zip(rows, stamps):
-            bucket = (ts - t0) // window
-            if not math.isfinite(bucket):
-                raise FormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is too far "
-                                  f"from the earliest for window width {window!r}")
-            records.append((parts[0], parts[1], int(bucket)))
-        return records
-
+    if window is None:
+        return rows
+    t0 = min((ts for _, _, ts in rows), default=0.0)
     records = []
-    for lineno, parts in rows:
-        try:
-            t = int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad snapshot ordinal {parts[2]!r}") from exc
-        records.append((parts[0], parts[1], t))
+    for where, parts, ts in rows:
+        bucket = (ts - t0) // window
+        if not math.isfinite(bucket):
+            raise FormatError(f"{where}: timestamp {parts[-1]!r} is too far "
+                              f"from the earliest for window width {window!r}")
+        records.append((parts[0], parts[1], int(bucket)))
     return records
 
 
 def load_edge_stream_oracle(records, extra_nodes=None, undirected: bool = False) -> SnapshotSequence:
     """The two-pass loader: ids and ordinals are collected over the whole
-    record list first, then duplicates are counted edge by edge."""
+    record list first, each record checked before the next, then
+    duplicates are counted edge by edge."""
     records = list(records)
     if not records:
         raise FormatError("no edges")
@@ -395,10 +397,10 @@ def load_edge_stream_oracle(records, extra_nodes=None, undirected: bool = False)
     raw = []
     ordinals = set()
     self_dropped = 0
-    for src, dst, t in records:
+    for position, (src, dst, t) in enumerate(records, 1):
         t = int(t)
         if t < 0:
-            raise FormatError(f"negative snapshot ordinal {t}")
+            raise FormatError(f"record {position}: negative snapshot ordinal {t}")
         i = intern(src)
         j = intern(dst)
         ordinals.add(t)

@@ -31,6 +31,8 @@ def data_dir(tmp_path_factory) -> Path:
     seq, truth = generate(FIXTURE_CFG)
     write_edge_list(seq, path / "edges.txt")
     write_ground_truth(truth, seq, path / "truth.csv")
+    # x has no edge in snapshots 0 and 2; node 0 has edges in snapshot 1 anyway
+    (path / "nodes.txt").write_text("# label snapshot\nx 0\nx 2\n0 1\n", encoding="utf-8")
     return path
 
 
@@ -155,6 +157,14 @@ class TestRun:
                        "--variant", "dgts", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == f"dgt: error: {nodes}:3: negative snapshot ordinal -1\n"
+
+    def test_negative_edge_list_ordinal_named_by_its_line(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("a b 0\nb c -2\nc a 0\n", encoding="utf-8")
+        rc = cli.main(["run", "--input", str(edges), "--variant", "dgts",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"dgt: error: {edges}:2: negative snapshot ordinal -2\n"
 
     def test_truth_label_that_int_rejects_is_skipped(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("a b 0\nb c 0\nc a 0\n", encoding="utf-8")
@@ -392,15 +402,20 @@ class TestFloatSums:
         assert rc == 0
 
 
-# sha256 of every output file of four fixed `dgt run` invocations on the
-# module fixture, one per variant.  Any change to an output byte fails here,
-# in place of hand-run digest comparisons; a deliberate model change must
-# update these pins and say in CHANGES.md why the bytes moved.
+# sha256 of every output file of five fixed `dgt run` invocations on the
+# module fixture: one per variant, and one that buckets the fixture's
+# ordinals as timestamps into windows of width 1 and declares isolated
+# nodes.  Paths in the arguments are relative to the fixture directory.
+# Any change to an output byte fails here, in place of hand-run digest
+# comparisons; a deliberate model change must update these pins and say in
+# CHANGES.md why the bytes moved.
 GOLDEN_ARGS = {
     "dgt": ["--variant", "dgt", "--gain", "similarity", "--diagnostics"],
     "dgtp": ["--variant", "dgtp", "--gain", "modularity", "--undirected"],
     "dgts": ["--variant", "dgts", "--gain", "similarity"],
     "dgtg": ["--variant", "dgtg", "--seed-fraction", "0.3", "--gain", "modularity"],
+    "window-nodes": ["--variant", "dgt", "--gain", "similarity", "--snapshot-by", "window:1",
+                     "--nodes", "nodes.txt"],
 }
 GOLDEN_DIGESTS = {
     "dgt": {
@@ -449,11 +464,22 @@ GOLDEN_DIGESTS = {
         "communities_t2_rep1.csv": "64869808aba9e03dd3ed73c88b330e0eb30124d34c472a299283078c21768481",
         "metrics.csv": "a6447acb0c1a52b87313ab2e34f09450027805851ee353c51fb92c6e235076d4",
     },
+    "window-nodes": {
+        "churn.csv": "82ae105dc9bfe5f9bbde56ecde2ac493c57ca98bf270cc83d49ff4ff2fd0ccd5",
+        "communities_t0_rep0.csv": "77626ce2e92e6add13cac90eea9abd3fff95f0cb89200ab59b1b0075a1e3586c",
+        "communities_t0_rep1.csv": "5637f8bab927665dbfc05d76b52ccccce1046daee7073ae0b34cf5d3e05fc9fd",
+        "communities_t1_rep0.csv": "db6af1a83fc572f5f02a15866b1f730fa8cb63ad07269d3e6b8c5712aa6fbd42",
+        "communities_t1_rep1.csv": "91e5686ced0b22fd14f5be887984c5296d24f6cd9b731afef0bb4f3adac454d0",
+        "communities_t2_rep0.csv": "7e91f53b18bb34c9de329024024423a51207329263a7a43824556ff78e60cf81",
+        "communities_t2_rep1.csv": "c2d822bc336e34ed23e373eb408635d72ac9688a287dcd7bfbd027cacb67bbe5",
+        "metrics.csv": "eeb474ca8ac98d0ad0641ec3a3b478432b9fee5827d6c70554ceecbfcb33381c",
+    },
 }
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
-def test_outputs_match_pinned_digests(data_dir, tmp_path, variant):
+def test_outputs_match_pinned_digests(data_dir, tmp_path, monkeypatch, variant):
+    monkeypatch.chdir(data_dir)
     out = tmp_path / "out"
     rc = cli.main(["run", "--input", str(data_dir / "edges.txt"),
                    "--truth", str(data_dir / "truth.csv"), "--repetitions", "2",

@@ -456,12 +456,30 @@ class TestUtilityDelta:
         (Switch(0, 99), r"unknown community ids: \[99\]"),
         ("join", "unknown action 'join'"),
     ])
-    def test_precondition_messages(self, action, message):
+    @pytest.mark.parametrize("target", ["utility_delta", "apply"])
+    def test_precondition_messages(self, action, message, target):
         g = SnapshotGraph.from_edges([(0, 1), (1, 2), (2, 0)])
         st = CommunityStructure.from_singletons(g.nodes)
         st.join(0, st.create_community([1]))
+        before = st.copy()
+        play = {"utility_delta": lambda: utility_delta(GainContext(g), 0, action, st),
+                "apply": lambda: st.apply(0, action)}[target]
         with pytest.raises(PreconditionError, match=message):
-            utility_delta(GainContext(g), 0, action, st)
+            play()
+        # a refused move changes nothing
+        assert (st.communities, st.memberships, st.next_id) == (
+            before.communities, before.memberships, before.next_id)
+
+    @pytest.mark.parametrize("agent, action, message", [
+        (0, Switch(0, 7), r"unknown community ids: \[7\]"),
+        (2, Switch(1, 1), "switch legs must differ"),  # 2 is community 1's only member
+    ])
+    def test_a_refused_switch_leaves_nothing(self, agent, action, message):
+        st = CommunityStructure.from_memberships({0: {0}, 1: {0}, 2: {1}}, 2)
+        with pytest.raises(PreconditionError, match=message):
+            st.apply(agent, action)
+        assert st.communities == {0: [0, 1], 1: [2]}
+        assert st.memberships == {0: {0}, 1: {0}, 2: {1}}
 
     @pytest.mark.parametrize("gain", ["similarity", "modularity"])
     def test_matches_full_recompute(self, gain):

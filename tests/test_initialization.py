@@ -267,6 +267,14 @@ class TestGroundTruthIO:
         with pytest.raises(FormatError, match=r"truth\.csv:4: bad snapshot ordinal 'zz'"):
             load_ground_truth(path, seq)
 
+    def test_negative_ordinal_named_with_its_value(self, tmp_path):
+        seq = load_edge_stream([("a", "b", 0)])
+        path = tmp_path / "truth.csv"
+        path.write_text("snapshot,node_label,community_label\n0,a,x\n-3,b,x\nzz,b,x\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=r"truth\.csv:3: negative snapshot ordinal -3$"):
+            load_ground_truth(path, seq)
+
     def test_bad_header(self, tmp_path):
         seq = load_edge_stream([("a", "b", 0)])
         path = tmp_path / "truth.csv"

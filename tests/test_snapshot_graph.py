@@ -15,6 +15,7 @@ import pytest
 import dgt
 from dgt import snapshot_graph
 from dgt.errors import FormatError, PreconditionError
+from dgt.initialization import load_ground_truth
 from dgt.snapshot_graph import (
     ChangeStats,
     SnapshotGraph,
@@ -89,12 +90,13 @@ class TestLoadEdgeStream:
         expected = [f"collapsed {collapsed} duplicate edge(s) in input"] if collapsed else []
         assert [r.getMessage() for r in caplog.records] == expected
 
-    def test_negative_ordinal_reported_after_parse_errors(self):
+    def test_negative_ordinal_reported_before_later_stream_errors(self):
         def records():
-            yield ("a", "b", -1)
+            yield ("a", "b", 0)
+            yield ("b", "c", -1)
             raise FormatError("parse error later in the stream")
 
-        with pytest.raises(FormatError, match="parse error"):
+        with pytest.raises(FormatError, match=r"^record 2: negative snapshot ordinal -1$"):
             load_edge_stream(records())
 
     def test_thirty_snapshots(self):
@@ -159,11 +161,11 @@ class TestLoadEdgeStream:
     @pytest.mark.parametrize("record", [("a", "b"), 7, "ab0"],
                              ids=["two-fields", "not-a-sequence", "string"])
     def test_a_malformed_record_is_refused_at_once(self, record):
-        # raised before the earlier record's bad ordinal, as a short line is
-        message = (f"record 3: expected a (source, target, ordinal) tuple or list, "
+        # raised before the later record's bad ordinal is read
+        message = (f"record 1: expected a (source, target, ordinal) tuple or list, "
                    f"got {record!r}")
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
-            load_edge_stream([("a", "b", 0), ("b", "c", "x"), record, ("c", "a", 0)])
+            load_edge_stream([record, ("a", "b", 0), ("b", "c", "x"), ("c", "a", 0)])
 
     def test_a_float_equal_to_the_previous_ordinal_is_refused(self):
         with pytest.raises(FormatError, match=r"^record 3: bad snapshot ordinal 2\.0$"):
@@ -185,8 +187,8 @@ class TestLoadEdgeStream:
         assert seq.ordinals == [1, 3]
         assert [g.m for g in seq.snapshots] == [2, 3]
 
-    def test_bad_ordinal_reported_before_earlier_negative_ordinal(self):
-        with pytest.raises(FormatError, match=r"^record 2: bad snapshot ordinal 0\.5$"):
+    def test_negative_ordinal_reported_before_later_bad_ordinal(self):
+        with pytest.raises(FormatError, match=r"^record 1: negative snapshot ordinal -1$"):
             load_edge_stream([("a", "b", -1), ("b", "c", 0.5), ("c", "a", 0)])
 
 
@@ -365,17 +367,43 @@ class TestEdgeFileParsing:
         with pytest.raises(FormatError):
             read_edge_list(path, snapshot_by="bogus")
 
-    def test_short_line_reported_before_earlier_bad_ordinal(self, tmp_path):
+    def test_bad_ordinal_reported_before_later_short_line(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("a b zero\nb c 0\nc\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r"e.txt:3: expected at least 3 columns"):
+        with pytest.raises(FormatError, match=r"e.txt:1: bad snapshot ordinal 'zero'$"):
             read_edge_list(path)
 
-    def test_bad_ordinal_reported_before_earlier_negative_ordinal(self, tmp_path):
+    def test_negative_ordinal_reported_before_later_bad_ordinal(self, tmp_path):
         path = tmp_path / "e.txt"
-        path.write_text("a b -1\nb c x\nc a 0\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r"e.txt:2: bad snapshot ordinal 'x'"):
+        path.write_text("a b 0\na b -1\nb c x\nc a 0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"e.txt:2: negative snapshot ordinal -1$"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a b 0\nb c x\nc\n", r"e.txt:2: bad timestamp 'x'$"),
+        ("a b 0\nb c inf\nc a x\n", r"e.txt:2: non-finite timestamp 'inf'$"),
+        ("a b 0\nc\nb c x\n", r"e.txt:2: expected at least 3 columns$"),
+    ], ids=["bad", "non-finite", "short"])
+    def test_window_mode_reports_the_first_faulty_line(self, tmp_path, text, message):
+        path = tmp_path / "e.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=message):
+            read_edge_list(path, snapshot_by="window:60")
+
+    def test_a_crlf_file_of_every_kind_reads_as_its_lf_twin(self, tmp_path):
+        texts = {"e": "a b 0\nb c 0\nc a 1\nb a 1\n", "n": "x 0\n# y 1\ny 1\n",
+                 "t": "snapshot,node_label,community_label\n0,a,p\n1,x,q\n1,y,q\n"}
+        for name, text in texts.items():
+            (tmp_path / f"{name}-lf.txt").write_text(text, encoding="utf-8", newline="\n")
+            (tmp_path / f"{name}-crlf.txt").write_text(text, encoding="utf-8", newline="\r\n")
+        loaded = []
+        for ends in ("lf", "crlf"):
+            seq = read_edge_list(tmp_path / f"e-{ends}.txt",
+                                 extra_nodes=parse_node_file(tmp_path / f"n-{ends}.txt"))
+            truth = load_ground_truth(tmp_path / f"t-{ends}.txt", seq)
+            loaded.append((seq, truth.by_snapshot))
+        assert loaded[0] == loaded[1]
+        assert loaded[0][1] == {0: {0: "p"}, 1: {3: "q", 4: "q"}}
 
     def test_loader_peak_memory_follows_the_loaded_graph(self, tmp_path):
         rng = random.Random(11)
